@@ -125,35 +125,47 @@ def determine_knots(x, df: int, degree: int) -> SplineBasis:
     (linear interpolation between order statistics), boundary knots at
     min(x)/max(x) with multiplicity degree + 1.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    xs = np.sort(np.asarray(x, dtype=float).ravel())[None, :]
+    knots = _sorted_knots(xs, df, degree, stacklevel=3)
+    return SplineBasis(degree=degree, df=df, knots=knots[0])
+
+
+def _sorted_knots(xs: np.ndarray, df: int, degree: int, stacklevel: int = 2) -> np.ndarray:
+    """determine_knots for every row of the row-sorted samples xs at once.
+
+    Returns one knot vector per row, shape (r, df + degree + 1). The rows
+    are checked in order and each crowded row warns once, as r separate
+    determine_knots calls would; the interior knots of all rows come from
+    one quantile call.
+    """
     if df <= degree:
         raise ValueError(f"df must exceed degree, got df={df}, degree={degree}.")
-    distinct = np.unique(x)
-    if distinct.size < 2:
-        raise ValueError("samples are all equal, no spline domain.")
-    if distinct.size < df + 1:
-        raise ValueError(
-            f"need at least df + 1 = {df + 1} distinct samples, got {distinct.size}."
-        )
-    lo, hi = distinct[0], distinct[-1]
+    for distinct in 1 + np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1):
+        if distinct < 2:
+            raise ValueError("samples are all equal, no spline domain.")
+        if distinct < df + 1:
+            raise ValueError(
+                f"need at least df + 1 = {df + 1} distinct samples, got {distinct}."
+            )
+    lo, hi = xs[:, :1], xs[:, -1:]
     n_interior = df - degree - 1
+    interior = np.empty((xs.shape[0], 0))
     if n_interior > 0:
         qs = np.arange(1, n_interior + 1) / (n_interior + 1)
-        interior = np.quantile(x, qs)
-        squashed = np.unique(interior).size < n_interior
-        touching = interior[0] <= lo or interior[-1] >= hi
-        if squashed or touching:
+        interior = np.quantile(xs, qs, axis=1).T
+        ordered = np.sort(interior, axis=1)
+        squashed = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        touching = (interior[:, 0] <= lo[:, 0]) | (interior[:, -1] >= hi[:, 0])
+        for _ in range(np.count_nonzero(squashed | touching)):
             warnings.warn(
                 "coincident interior knots: sample distribution is too "
                 "concentrated for the requested df",
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
-    else:
-        interior = np.empty(0)
-    knots = np.concatenate(
-        [np.full(degree + 1, lo), interior, np.full(degree + 1, hi)]
+    ends = degree + 1
+    return np.concatenate(
+        [np.repeat(lo, ends, axis=1), interior, np.repeat(hi, ends, axis=1)], axis=1
     )
-    return SplineBasis(degree=degree, df=df, knots=knots)
 
 
 def _find_spans(t: np.ndarray, degree: int, u: np.ndarray) -> np.ndarray:
@@ -172,36 +184,107 @@ def _find_spans(t: np.ndarray, degree: int, u: np.ndarray) -> np.ndarray:
     return nonempty[np.clip(idx, 0, nonempty.size - 1)]
 
 
-def _local_basis(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _local_basis(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray, below: bool = False):
     """Values of the degree+1 basis functions alive on each point's span.
 
-    Column r of the result holds B_{span - degree + r, degree}(u). Standard
-    knot-difference recursion; denominators are knot spans around a nonempty
-    interval and cannot vanish.
+    Returns (lower, vals). Entry r on the last axis of vals holds
+    B_{span - degree + r, degree}(u); with below=True, lower holds the
+    degree-1 level of the same recursion (the functions alive on the same
+    span one degree down), else None. Standard knot-difference recursion,
+    row i of u on knot vector t[i]; denominators are knot spans around a
+    nonempty interval and cannot vanish.
     """
-    npts = u.size
-    vals = np.zeros((npts, degree + 1))
-    vals[:, 0] = 1.0
-    left = np.empty((npts, degree))
-    right = np.empty((npts, degree))
+    # flat index of row i's knot k is k + i * t.shape[1]
+    rows = np.arange(t.shape[0])[:, None] * t.shape[1]
+    vals = np.zeros(u.shape + (degree + 1,))
+    vals[..., 0] = 1.0
+    left = np.empty(u.shape + (degree,))
+    right = np.empty(u.shape + (degree,))
+    lower = None
     for j in range(1, degree + 1):
-        left[:, j - 1] = u - t[spans - j + 1]
-        right[:, j - 1] = t[spans + j] - u
-        saved = np.zeros(npts)
+        if below and j == degree:
+            lower = vals[..., :degree].copy()
+        left[..., j - 1] = u - np.take(t, spans + (rows - j + 1))
+        right[..., j - 1] = np.take(t, spans + (rows + j)) - u
+        saved = np.zeros(u.shape)
         for r in range(j):
-            denom = right[:, r] + left[:, j - r - 1]
-            temp = vals[:, r] / denom
-            vals[:, r] = saved + right[:, r] * temp
-            saved = left[:, j - r - 1] * temp
-        vals[:, j] = saved
-    return vals
+            temp = vals[..., r] / (right[..., r] + left[..., j - r - 1])
+            vals[..., r] = saved + right[..., r] * temp
+            saved = left[..., j - r - 1] * temp
+        vals[..., j] = saved
+    return lower, vals
 
 
-def _scatter(local: np.ndarray, spans: np.ndarray, degree: int, ncols: int) -> np.ndarray:
-    out = np.zeros((spans.size, ncols))
-    cols = spans[:, None] - degree + np.arange(degree + 1)[None, :]
-    np.put_along_axis(out, cols, local, axis=1)
+def _derivative_window(t: np.ndarray, degree: int, spans: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """First derivatives of the degree+1 basis functions alive on each span.
+
+    Uses the lower-degree recurrence B'_l = w_l B_{l,d-1} - w_{l+1} B_{l+1,d-1}
+    with w_l = d / (t_{l+d} - t_l), zero where the knot span is empty; lower
+    is the degree d-1 level from _local_basis.
+    """
+    gaps = t[:, degree:] - t[:, : t.shape[1] - degree]  # t_{l+d} - t_l for l = 0..df
+    w = np.where(gaps > 0, degree / np.where(gaps > 0, gaps, 1.0), 0.0)
+    cols = spans[..., None] - degree + np.arange(degree + 2)
+    w = w[np.arange(t.shape[0])[:, None, None], cols]
+    padded = np.zeros(lower.shape[:-1] + (degree + 2,))
+    padded[..., 1:-1] = lower
+    return padded[..., :-1] * w[..., :-1] - padded[..., 1:] * w[..., 1:]
+
+
+def _scatter(out: np.ndarray, window: np.ndarray, spans: np.ndarray, degree: int) -> np.ndarray:
+    """Write each point's span-local values into its row of out, from column span - degree on."""
+    cols = spans[:, None] - degree + np.arange(window.shape[1])[None, :]
+    out[np.arange(spans.size)[:, None], cols] = window
     return out
+
+
+def _integral_into(out: np.ndarray, higher: np.ndarray, spans: np.ndarray, t: np.ndarray, degree: int) -> np.ndarray:
+    """Running integrals int_{t_min}^{u} B_j of a degree-d basis, written into out.
+
+    The antiderivative of a degree-d basis expansion is a degree-(d+1)
+    spline on the knot vector padded with one extra boundary knot on each
+    side. Its spans are the plain spans shifted by one, so higher, the
+    degree d+1 level of _local_basis on the plain knots t, holds its values.
+    Column j collects the tail sum of the higher-degree functions scaled by
+    (t_{j+d+1} - t_j)/(d+1).
+    """
+    df = out.shape[1]
+    higher = _scatter(np.zeros((spans.size, df + 1)), higher, spans, degree)
+    # integral of B_j is dt[j] * sum of higher-degree functions with index > j
+    tails = np.cumsum(higher[:, ::-1], axis=1)[:, ::-1]
+    np.multiply(tails[:, 1:], (t[degree + 1 :] - t[:df]) / (degree + 1), out=out)
+    return out
+
+
+def _pair_windows(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray, representation: Representation):
+    """Span-local values of the design pair (B, Btil) for every row at once.
+
+    B is the derivative level and Btil the function level of a branch whose
+    spline has the given degree under the representation. One recursion
+    gives both. FUNCTION: Btil is the degree-d level and B comes from its
+    degree d-1 level. DERIVATIVE: B is the degree-d level and Btil, the
+    integral, needs the degree d+1 level.
+    """
+    if representation is Representation.FUNCTION:
+        lower, vals = _local_basis(t, degree, spans, u, below=True)
+        return _derivative_window(t, degree, spans, lower), vals
+    return _local_basis(t, degree + 1, spans, u, below=True)
+
+
+def _fill_pair(b_mat, btil, b_win, btil_win, spans, t, degree, representation) -> None:
+    """Write one row's augmented pair [0 | B] and [1 | Btil] into b_mat and btil.
+
+    b_win, btil_win, spans and t are that row's entries of _pair_windows,
+    _find_spans and the knot rows; both outputs are S x (df + 1).
+    """
+    b_mat.fill(0.0)
+    _scatter(b_mat[:, 1:], b_win, spans, degree)
+    btil[:, 0] = 1.0
+    if representation is Representation.FUNCTION:
+        btil[:, 1:] = 0.0
+        _scatter(btil[:, 1:], btil_win, spans, degree)
+    else:
+        _integral_into(btil[:, 1:], btil_win, spans, t, degree)
 
 
 def design_matrix(basis: SplineBasis, u) -> np.ndarray:
@@ -209,51 +292,32 @@ def design_matrix(basis: SplineBasis, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     t, d = basis.knots, basis.degree
     spans = _find_spans(t, d, u)
-    local = _local_basis(t, d, spans, u)
-    return _scatter(local, spans, d, basis.df)
+    _, local = _local_basis(t[None, :], d, spans[None, :], u[None, :])
+    return _scatter(np.zeros((u.size, basis.df)), local[0], spans, d)
 
 
 def derivative_design_matrix(basis: SplineBasis, u) -> np.ndarray:
     """S x df matrix of first-derivative values of the basis functions.
 
-    Uses the lower-degree recurrence B'_j = w_j B_{j,d-1} - w_{j+1} B_{j+1,d-1}
-    with w_l = d / (t_{l+d} - t_l), zero where the knot span is empty. Needs
-    degree >= 1.
+    Needs degree >= 1; see _derivative_window for the recurrence.
     """
-    d = basis.degree
+    t, d = basis.knots, basis.degree
     if d < 1:
         raise ValueError("derivative needs degree >= 1.")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    t, df = basis.knots, basis.df
     spans = _find_spans(t, d, u)
-    local = _local_basis(t, d - 1, spans, u)
-    # lower-degree functions indexed 0..df on the same knot vector
-    lower = np.zeros((u.size, df + 1))
-    cols = spans[:, None] - (d - 1) + np.arange(d)[None, :]
-    np.put_along_axis(lower, cols, local, axis=1)
-    gaps = t[d:] - t[: t.size - d]  # t_{l+d} - t_l for l = 0..df
-    w = np.where(gaps > 0, d / np.where(gaps > 0, gaps, 1.0), 0.0)
-    return lower[:, :-1] * w[:-1] - lower[:, 1:] * w[1:]
+    _, lower = _local_basis(t[None, :], d - 1, spans[None, :], u[None, :])
+    window = _derivative_window(t[None, :], d, spans[None, :], lower)
+    return _scatter(np.zeros((u.size, basis.df)), window[0], spans, d)
 
 
 def integral_design_matrix(basis: SplineBasis, u) -> np.ndarray:
-    """S x df matrix of running integrals int_{t_min}^{u} B_j.
-
-    The antiderivative of a degree-d basis expansion is a degree-(d+1) spline
-    on the knot vector padded with one extra boundary knot on each side;
-    column j collects the tail sum of the higher-degree functions scaled by
-    (t_{j+d+1} - t_j)/(d+1).
-    """
+    """S x df matrix of running integrals int_{t_min}^{u} B_j."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    t, d, df = basis.knots, basis.degree, basis.df
-    tt = np.concatenate([t[:1], t, t[-1:]])
-    spans = _find_spans(tt, d + 1, u)
-    local = _local_basis(tt, d + 1, spans, u)
-    higher = _scatter(local, spans, d + 1, df + 1)
-    dt = (t[d + 1:] - t[: df]) / (d + 1)
-    # integral of B_j is dt[j] * sum of higher-degree functions with index > j
-    tails = np.cumsum(higher[:, ::-1], axis=1)[:, ::-1]
-    return tails[:, 1:] * dt[None, :]
+    t, d = basis.knots, basis.degree
+    spans = _find_spans(t, d, u)
+    _, higher = _local_basis(t[None, :], d + 1, spans[None, :], u[None, :])
+    return _integral_into(np.empty((u.size, basis.df)), higher[0], spans, t, d)
 
 
 def augment(mat: np.ndarray, kind: str) -> np.ndarray:

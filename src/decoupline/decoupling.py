@@ -16,6 +16,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +24,12 @@ from .bspline import (
     Representation,
     SplineBasis,
     SplineFunction,
-    augment,
-    derivative_design_matrix,
-    design_matrix,
-    determine_knots,
-    integral_design_matrix,
+    _fill_pair,
+    _find_spans,
+    _pair_windows,
+    _sorted_knots,
 )
-from .solvers import lstsq, nnls, stacked_lstsq
+from .solvers import RANK_RCOND, lstsq, nnls, stacked_lstsq
 from .tensor3 import Tensor3, frob_norm_sq, khatri_rao, unfold
 
 __all__ = [
@@ -180,14 +180,23 @@ class ProjectionResult:
     """Spline-projected G and R plus what produced them.
 
     coeffs[j] is the df+1 coefficient vector of branch j, or None when the
-    fallback replaced that branch this sweep; bases[j] is its knot basis.
+    fallback replaced that branch this sweep; knots[j] is its knot vector
+    and bases[j] its SplineBasis, built from knots and degree (the basis
+    degree, one less than the branch degree under DERIVATIVE) when first
+    read.
     """
 
     G: np.ndarray
     R: np.ndarray
     coeffs: tuple
-    bases: tuple
+    knots: np.ndarray
+    degree: int
     fallback: tuple
+
+    @cached_property
+    def bases(self) -> tuple:
+        df = self.knots.shape[1] - self.degree - 1
+        return tuple(SplineBasis(degree=self.degree, df=df, knots=k) for k in self.knots)
 
 
 def objective_terms(J: Tensor3, F, W1, W0, G, R) -> tuple[float, float]:
@@ -240,26 +249,32 @@ def leaky_relu_fallback(u, slope: float = -0.5) -> tuple[np.ndarray, np.ndarray]
 def _branch_matrices(basis: SplineBasis, u, representation: Representation):
     """Augmented design pair (B for the derivative column, Btil for the
     function column) sharing one coefficient vector [c0, c1..df]."""
-    if representation is Representation.FUNCTION:
-        b_mat = augment(derivative_design_matrix(basis, u), "zeros")
-        btil = augment(design_matrix(basis, u), "ones")
-    else:
-        b_mat = augment(design_matrix(basis, u), "zeros")
-        btil = augment(integral_design_matrix(basis, u), "ones")
+    t, d = basis.knots, basis.degree
+    u = np.asarray(u, dtype=float)
+    spans = _find_spans(t, d, u)
+    b_win, btil_win = _pair_windows(t[None, :], d, spans[None, :], u[None, :], representation)
+    b_mat = np.empty((u.size, basis.df + 1))
+    btil = np.empty_like(b_mat)
+    _fill_pair(b_mat, btil, b_win[0], btil_win[0], spans, t, d, representation)
     return b_mat, btil
 
 
 def _nonneg_coeffs(b_mat, btil, g_col, r_col, lam) -> np.ndarray:
-    """Stacked fit with c[1:] >= 0 and c[0] free.
+    """Stacked fit of one branch with c[1:] >= 0 and c[0] free."""
+    root = np.sqrt(lam)
+    return _nonneg_stacked(
+        np.vstack([b_mat, root * btil]), np.concatenate([g_col, root * r_col])
+    )
+
+
+def _nonneg_stacked(a, y) -> np.ndarray:
+    """min ||a c - y|| over c with c[1:] >= 0, for the stacked [B; sqrt(lam) Btil].
 
     The free constant is eliminated by projecting the stacked system onto
     the orthogonal complement of its column, running NNLS there, and
     recovering c[0] from its closed-form optimum afterwards. The split is
     exact because the objective separates along that column.
     """
-    root = np.sqrt(lam)
-    a = np.vstack([b_mat, root * btil])
-    y = np.concatenate([g_col, root * r_col])
     a0 = a[:, 0]
     rest = a[:, 1:]
     nrm2 = float(a0 @ a0)  # the ones column makes this lam * S > 0
@@ -290,55 +305,68 @@ def bspline_projection(
     spline values. Under MONOTONE_INCREASING the spline block is solved by
     NNLS; if that returns all zeros the branch is replaced by leaky ReLU
     samples for this sweep instead (coeffs entry None).
+
+    The branches share one sort of x_samples, one quantile call, one span
+    search per row and one basis recursion; each branch's blocks are then
+    written into one stacked system [B; sqrt(lam) Btil] and solved alone.
     """
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}.")
     G = np.array(G, dtype=float)
     R = np.array(R, dtype=float)
-    x_samples = np.asarray(x_samples, dtype=float)
-    r = G.shape[1]
-    coeffs = []
-    bases = []
-    fallback = []
+    x = np.asarray(x_samples, dtype=float)
+    s, r = G.shape
     basis_degree = degree if representation is Representation.FUNCTION else degree - 1
-    for j in range(r):
-        u = x_samples[j]
-        width = np.ptp(u)
-        peak = np.abs(u).max()
-        if width == 0 or width <= 1e-13 * peak or peak < 1e-200:
-            # a collapsed input row (dead rank-one component, W0 row driven
-            # to zero or to float-coincident values) admits only constant
-            # branches; fit the best constant instead of handing the basis
-            # a domain narrower than its own rounding error
-            const = float(R[:, j].mean())
-            spread = np.linspace(u[0] - 1.0, u[0] + 1.0, df + basis_degree + 2)
-            basis = determine_knots(spread, df, basis_degree)
-            c = np.zeros(df + 1)
-            c[0] = const
-            G[:, j] = 0.0
-            R[:, j] = const
-            bases.append(basis)
-            coeffs.append(c)
-            fallback.append(False)
-            continue
-        basis = determine_knots(u, df, basis_degree)
-        b_mat, btil = _branch_matrices(basis, u, representation)
-        bases.append(basis)
-        if constraint is Constraint.NONE:
-            c = np.asarray(
-                stacked_lstsq(b_mat, G[:, j], btil, R[:, j], lam).solution
-            ).ravel()
-        else:
-            c = _nonneg_coeffs(b_mat, btil, G[:, j], R[:, j], lam)
-            if np.all(c[1:] == 0):
-                G[:, j], R[:, j] = leaky_relu_fallback(u)
-                coeffs.append(None)
-                fallback.append(True)
-                continue
-        G[:, j] = b_mat @ c
-        R[:, j] = btil @ c
-        coeffs.append(c)
-        fallback.append(False)
+    knots = np.empty((r, df + basis_degree + 1))
+    coeffs = [None] * r
+    fallback = [False] * r
+    xs = np.sort(x, axis=1)
+    width = xs[:, -1] - xs[:, 0]
+    peak = np.abs(xs[:, [0, -1]]).max(axis=1)
+    # a collapsed input row (dead rank-one component, W0 row driven to zero
+    # or to float-coincident values) admits only constant branches; fit the
+    # best constant instead of handing the basis a domain narrower than its
+    # own rounding error
+    collapsed = (width == 0) | (width <= 1e-13 * peak) | (peak < 1e-200)
+    for j in np.flatnonzero(collapsed):
+        const = float(R[:, j].mean())
+        spread = np.linspace(x[j, 0] - 1.0, x[j, 0] + 1.0, df + basis_degree + 2)
+        knots[j] = _sorted_knots(spread[None, :], df, basis_degree)[0]
+        coeffs[j] = np.zeros(df + 1)
+        coeffs[j][0] = const
+        G[:, j] = 0.0
+        R[:, j] = const
+    live = np.flatnonzero(~collapsed)
+    if live.size:
+        t = _sorted_knots(xs[live], df, basis_degree)
+        knots[live] = t
+        u = x[live]
+        spans = np.stack([_find_spans(k, basis_degree, p) for k, p in zip(t, u)])
+        b_win, btil_win = _pair_windows(t, basis_degree, spans, u, representation)
+        root = np.sqrt(lam)
+        # lam = 0 drops the function block, as stacked_lstsq does
+        rows = s if lam == 0 else 2 * s
+        a = np.empty((2 * s, df + 1))
+        y = np.empty(2 * s)
+        btil = np.empty((s, df + 1))
+        for i, j in enumerate(live):
+            _fill_pair(a[:s], btil, b_win[i], btil_win[i], spans[i], t[i], basis_degree, representation)
+            np.multiply(root, btil, out=a[s:])
+            y[:s] = G[:, j]
+            np.multiply(root, R[:, j], out=y[s:])
+            if constraint is Constraint.NONE:
+                c = np.linalg.lstsq(a[:rows], y[:rows], rcond=RANK_RCOND)[0]
+            else:
+                c = _nonneg_stacked(a, y)
+                if np.all(c[1:] == 0):
+                    G[:, j], R[:, j] = leaky_relu_fallback(u[i])
+                    fallback[j] = True
+                    continue
+            G[:, j] = a[:s] @ c
+            R[:, j] = btil @ c
+            coeffs[j] = c
     return ProjectionResult(
-        G=G, R=R, coeffs=tuple(coeffs), bases=tuple(bases), fallback=tuple(fallback)
+        G=G, R=R, coeffs=tuple(coeffs), knots=knots, degree=basis_degree, fallback=tuple(fallback)
     )
 
 

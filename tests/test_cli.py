@@ -1,8 +1,12 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from decoupline.cli import main
 from decoupline.decoupling import load_model, predict
+from decoupline.sysgen import builtin_trig, jacobian_tensor, sample_for_system, zeroth_matrix
 from decoupline.tensor3 import read_matrix, write_matrix, write_tensor
 
 
@@ -175,3 +179,27 @@ def test_argparse_rejects_garbage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def readme_commands(*names):
+    """The README's `decoupline <name> ...` example lines, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    argvs = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+    return [next(a for a in argvs if a and a[0] == name) for name in names]
+
+
+def test_readme_decouple_predict_certify(tmp_path, monkeypatch, capsys):
+    system = builtin_trig()
+    samples = sample_for_system(system, 100, -1.5, 1.5, 0)
+    write_tensor(jacobian_tensor(system, samples), tmp_path / "J.txt")
+    write_matrix(zeroth_matrix(system, samples), tmp_path / "F.txt")
+    write_matrix(samples.X, tmp_path / "X.txt")
+    monkeypatch.chdir(tmp_path)
+    decouple_argv, predict_argv, certify_argv = readme_commands("decouple", "predict", "certify")
+    assert main(decouple_argv) == 0
+    assert main(predict_argv) == 0
+    capsys.readouterr()
+    assert main(certify_argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [f"branch {j}: CERTIFIED_INCREASING" for j in (1, 2, 3)]

@@ -1,16 +1,27 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decoupline.bspline import Representation, design_matrix, determine_knots
+from decoupline import decoupling
+from decoupline.bspline import (
+    Representation,
+    augment,
+    derivative_design_matrix,
+    design_matrix,
+    determine_knots,
+    integral_design_matrix,
+)
 from decoupline.decoupling import (
     Certification,
     CmtfConfig,
     Constraint,
+    ProjectionResult,
     SplineFunction,
+    _nonneg_coeffs,
     bspline_projection,
     certify_monotone,
     decouple,
@@ -300,6 +311,172 @@ def test_leaky_relu_fallback_values():
     assert np.all(np.diff(r[order]) >= 0)
 
 
+# projection against a per-branch reference
+
+
+def reference_projection(G, R, df, degree, x_samples, lam, representation, constraint):
+    """bspline_projection one branch at a time from the public 1-D functions."""
+    G = np.array(G, dtype=float)
+    R = np.array(R, dtype=float)
+    x_samples = np.asarray(x_samples, dtype=float)
+    basis_degree = degree if representation is Representation.FUNCTION else degree - 1
+    coeffs, knots, fallback = [], [], []
+    for j in range(G.shape[1]):
+        u = x_samples[j]
+        width, peak = np.ptp(u), np.abs(u).max()
+        if width == 0 or width <= 1e-13 * peak or peak < 1e-200:
+            spread = np.linspace(u[0] - 1.0, u[0] + 1.0, df + basis_degree + 2)
+            knots.append(determine_knots(spread, df, basis_degree).knots)
+            c = np.zeros(df + 1)
+            c[0] = float(R[:, j].mean())
+            G[:, j] = 0.0
+            R[:, j] = c[0]
+            coeffs.append(c)
+            fallback.append(False)
+            continue
+        basis = determine_knots(u, df, basis_degree)
+        knots.append(basis.knots)
+        if representation is Representation.FUNCTION:
+            b_mat = augment(derivative_design_matrix(basis, u), "zeros")
+            btil = augment(design_matrix(basis, u), "ones")
+        else:
+            b_mat = augment(design_matrix(basis, u), "zeros")
+            btil = augment(integral_design_matrix(basis, u), "ones")
+        if constraint is Constraint.NONE:
+            c = np.asarray(stacked_lstsq(b_mat, G[:, j], btil, R[:, j], lam).solution).ravel()
+        else:
+            c = _nonneg_coeffs(b_mat, btil, G[:, j], R[:, j], lam)
+            if np.all(c[1:] == 0):
+                G[:, j], R[:, j] = leaky_relu_fallback(u)
+                coeffs.append(None)
+                fallback.append(True)
+                continue
+        G[:, j] = b_mat @ c
+        R[:, j] = btil @ c
+        coeffs.append(c)
+        fallback.append(False)
+    return ProjectionResult(
+        G=G, R=R, coeffs=tuple(coeffs), knots=np.array(knots), degree=basis_degree,
+        fallback=tuple(fallback),
+    )
+
+
+def assert_same_projection(got, want):
+    assert np.array_equal(got.G, want.G)
+    assert np.array_equal(got.R, want.R)
+    assert np.array_equal(got.knots, want.knots)
+    assert got.fallback == want.fallback
+    assert len(got.coeffs) == len(want.coeffs)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def both_projections(*args):
+    """Run the projection and the reference; also compare their warnings."""
+    runs = []
+    for fn in (bspline_projection, reference_projection):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append((fn(*args), [str(w.message) for w in caught]))
+    (got, got_warnings), (want, want_warnings) = runs
+    assert sorted(got_warnings) == sorted(want_warnings)
+    return got, want, got_warnings
+
+
+REP_CONSTRAINT = [
+    (Representation.FUNCTION, Constraint.NONE),
+    (Representation.FUNCTION, Constraint.MONOTONE_INCREASING),
+    (Representation.DERIVATIVE, Constraint.NONE),
+    (Representation.DERIVATIVE, Constraint.MONOTONE_INCREASING),
+]
+
+
+@pytest.mark.parametrize("s", [40, 2000])
+@pytest.mark.parametrize("rep,constraint", REP_CONSTRAINT)
+def test_projection_equals_per_branch_reference(s, rep, constraint):
+    rng = np.random.default_rng(s)
+    G = rng.standard_normal((s, 3)) + 0.5
+    R = rng.standard_normal((s, 3))
+    x = rng.uniform(-2, 2, (3, s)) * [[1.0], [0.1], [3.0]]
+    got, want, _ = both_projections(G, R, 10, 4, x, 0.1, rep, constraint)
+    assert_same_projection(got, want)
+
+
+@pytest.mark.parametrize("rep,constraint", REP_CONSTRAINT)
+def test_projection_reference_collapsed_row(rep, constraint):
+    rng = np.random.default_rng(31)
+    s = 40
+    G = rng.standard_normal((s, 3))
+    R = rng.standard_normal((s, 3))
+    x = np.vstack([rng.uniform(-1, 1, s), np.full(s, 0.7), np.zeros(s)])
+    got, want, _ = both_projections(G, R, 6, 4, x, 0.1, rep, constraint)
+    assert_same_projection(got, want)
+
+
+def test_projection_reference_leaky_relu_fallback():
+    s = 60
+    u = np.linspace(-1, 1, s)
+    x = np.vstack([u, u[::-1] * 0.5])
+    G = np.column_stack([-np.ones(s) - u**2, np.ones(s)])
+    R = np.column_stack([-u, u])
+    got, want, _ = both_projections(G, R, 6, 4, x, 1e-9, Representation.DERIVATIVE,
+                                    Constraint.MONOTONE_INCREASING)
+    assert got.fallback == (True, False)
+    assert_same_projection(got, want)
+
+
+@pytest.mark.parametrize("constraint", [Constraint.NONE, Constraint.MONOTONE_INCREASING])
+def test_projection_reference_derivative_degree_one(constraint):
+    # basis degree 0: the derivative level is a step function
+    rng = np.random.default_rng(32)
+    s = 40
+    G = np.abs(rng.standard_normal((s, 2)))
+    R = rng.standard_normal((s, 2))
+    x = rng.uniform(-1, 1, (2, s))
+    got, want, _ = both_projections(G, R, 5, 1, x, 0.1, Representation.DERIVATIVE, constraint)
+    assert got.bases[0].degree == 0
+    assert_same_projection(got, want)
+
+
+@pytest.mark.parametrize("rep,constraint", REP_CONSTRAINT)
+def test_projection_reference_no_interior_knots(rep, constraint):
+    rng = np.random.default_rng(33)
+    s = 40
+    G = rng.standard_normal((s, 2))
+    R = rng.standard_normal((s, 2))
+    x = rng.uniform(-1, 1, (2, s))
+    df = 3 + 1 if rep is Representation.FUNCTION else 3
+    got, want, _ = both_projections(G, R, df, 3, x, 0.1, rep, constraint)
+    assert got.knots.shape[1] == 2 * (got.degree + 1)
+    assert_same_projection(got, want)
+
+
+def test_projection_reference_lam_edges():
+    # lam = 0 leaves the function block out of the solve, as stacked_lstsq does
+    rng = np.random.default_rng(35)
+    s = 40
+    G = rng.standard_normal((s, 2))
+    R = rng.standard_normal((s, 2))
+    x = rng.uniform(-1, 1, (2, s))
+    got, want, _ = both_projections(G, R, 6, 3, x, 0.0, Representation.FUNCTION, Constraint.NONE)
+    assert_same_projection(got, want)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        bspline_projection(G, R, 6, 3, x, -0.1, Representation.FUNCTION, Constraint.NONE)
+
+def test_projection_warns_once_per_crowded_branch():
+    rng = np.random.default_rng(34)
+    s = 100
+    crowded = np.concatenate([np.zeros(94), [0.1, 0.2, 0.3, 0.5, 0.9, 1.0]])
+    x = np.vstack([crowded, rng.uniform(-1, 1, s), crowded[::-1] - 3.0])
+    G = rng.standard_normal((s, 3))
+    R = rng.standard_normal((s, 3))
+    got, want, messages = both_projections(G, R, 6, 3, x, 0.1, Representation.FUNCTION,
+                                           Constraint.NONE)
+    knot_warnings = [m for m in messages if m.startswith("coincident interior knots")]
+    assert len(knot_warnings) == 2
+    assert_same_projection(got, want)
+
+
 # the ALS loop
 
 
@@ -432,6 +609,28 @@ def test_wide_w1_warns_rank_deficient():
         decouple(J, F, samples.X, cfg)
 
 
+def test_decouple_with_reference_projection_is_bit_identical(monkeypatch):
+    sys = builtin_trig()
+    samples = sample_uniform(2, 100, -1.5, 1.5, 3)
+    J = jacobian_tensor(sys, samples.X)
+    F = zeroth_matrix(sys, samples.X)
+    cfg = CmtfConfig(rank=3, degree=3, df=12, lam=0.01, seed=3, max_iter=40, rel_tol=1e-12)
+    fits = []
+    for projection in (bspline_projection, reference_projection):
+        monkeypatch.setattr(decoupling, "bspline_projection", projection)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fits.append(decouple(J, F, samples.X, cfg))
+    (model_a, state_a), (model_b, state_b) = fits
+    assert state_a.iterations == state_b.iterations == 40
+    assert np.array_equal(np.array(state_a.history), np.array(state_b.history))
+    for name in ("W1", "W0", "G", "R"):
+        assert np.array_equal(getattr(state_a, name), getattr(state_b, name))
+    for a, b in zip(model_a.branches, model_b.branches):
+        assert np.array_equal(a.basis.knots, b.basis.knots)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
 def test_predict_reproduces_final_coupling_product():
     sys = builtin_trig()
     samples = sample_uniform(2, 80, -1.5, 1.5, 1)
@@ -521,6 +720,24 @@ def test_model_round_trip(tmp_path):
         assert np.allclose(b_new.value(u), b_old.value(u), atol=0)
         assert b_new.representation is b_old.representation
 
+
+def test_saved_model_keys_are_the_documented_ones(tmp_path):
+    J, F, x = quadratic_fixture(seed=22)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, _ = decouple(J, F, x, CmtfConfig(rank=2, degree=2, df=5, max_iter=5))
+    p = tmp_path / "model.json"
+    save_model(model, p)
+    payload = json.loads(p.read_text())
+    assert set(payload) == {"dims", "w1", "w0", "branches", "config"}
+    assert set(payload["dims"]) == {"outputs", "inputs", "rank"}
+    branch_keys = {"degree", "df", "knots", "coeffs", "representation"}
+    assert all(set(b) == branch_keys for b in payload["branches"])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    formats = readme.split("## File formats")[1].split("\n## ")[0]
+    for key in [*payload, *payload["dims"], *branch_keys]:
+        assert f"`{key}`" in formats, key
+    assert "No certificate is stored" in formats
 
 def test_load_model_malformed(tmp_path):
     p = tmp_path / "bad.json"

@@ -150,6 +150,27 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(read_matrix(p), mat)
 
 
+def test_file_formats_as_documented(tmp_path):
+    # the layouts of the "File formats" section of README.md
+    mat = np.array([[1.5, -2.0, 0.1], [3.0, 1e-300, 7.0]])
+    p = tmp_path / "m.txt"
+    write_matrix(mat, p)
+    assert p.read_text() == "1.5,-2.0,0.1\n3.0,1e-300,7.0\n"
+    assert np.array_equal(read_matrix(p), mat)
+    by_hand = tmp_path / "hand.txt"
+    by_hand.write_text("1,2,3\n4,5,6\n")
+    assert np.array_equal(read_matrix(by_hand), [[1, 2, 3], [4, 5, 6]])
+
+    t = Tensor3.from_flat((2, 3, 2), np.arange(12.0) / 4)
+    q = tmp_path / "t.txt"
+    write_tensor(t, q)
+    lines = q.read_text().splitlines()
+    assert lines[0] == "2 3 2"
+    first_index_fastest = [t.data[i, j, k] for k in range(2) for j in range(3) for i in range(2)]
+    assert [float(v) for v in lines[1:]] == first_index_fastest
+    assert np.array_equal(read_tensor(q).data, t.data)
+
+
 @pytest.mark.parametrize(
     "content,fragment",
     [
