@@ -163,7 +163,7 @@ def _cmd_predict(args) -> int:
         print(f"outputs written to {args.out}")
     else:
         for row in outputs:
-            print(",".join(repr(float(v)) for v in row))
+            print(",".join(map(repr, row.tolist())))
     return 0
 
 

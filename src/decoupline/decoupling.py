@@ -255,7 +255,7 @@ def _branch_matrices(basis: SplineBasis, u, representation: Representation):
     b_win, btil_win = _pair_windows(t[None, :], d, spans[None, :], u[None, :], representation)
     b_mat = np.empty((u.size, basis.df + 1))
     btil = np.empty_like(b_mat)
-    _fill_pair(b_mat, btil, b_win[0], btil_win[0], spans, t, d, representation)
+    _fill_pair(b_mat, btil, b_win[:, 0], btil_win[:, 0], spans, t, d, representation)
     return b_mat, btil
 
 
@@ -350,7 +350,7 @@ def bspline_projection(
         y = np.empty(2 * s)
         btil = np.empty((s, df + 1))
         for i, j in enumerate(live):
-            _fill_pair(a[:s], btil, b_win[i], btil_win[i], spans[i], t[i], basis_degree, representation)
+            _fill_pair(a[:s], btil, b_win[:, i], btil_win[:, i], spans[i], t[i], basis_degree, representation)
             np.multiply(root, btil, out=a[s:])
             y[:s] = G[:, j]
             np.multiply(root, R[:, j], out=y[s:])
@@ -547,7 +547,12 @@ def _assemble_branches(proj: ProjectionResult, G, R, x, lam, config: CmtfConfig)
 
 
 def predict(model: DecoupledModel, X) -> np.ndarray:
-    """Evaluate the fitted f(x) = W1 g(W0 x) columnwise on an m x T matrix."""
+    """Evaluate the fitted f(x) = W1 g(W0 x) columnwise on an m x T matrix.
+
+    Each branch is evaluated on the window of basis functions alive at each
+    point, so memory per branch is O(T * (degree + 2)), not O(T * df).
+    Columns with a NaN or an infinite entry are rejected.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -555,6 +560,9 @@ def predict(model: DecoupledModel, X) -> np.ndarray:
         raise ValueError(
             f"inputs must have {model.W0.shape[1]} rows, got {X.shape[0]}."
         )
+    if not np.all(np.isfinite(X)):
+        col = int(np.flatnonzero(~np.all(np.isfinite(X), axis=0))[0])
+        raise ValueError(f"non-finite values encountered in inputs, first in column {col}.")
     u = model.W0 @ X
     g = np.stack([branch.value(u[i]) for i, branch in enumerate(model.branches)])
     return model.W1 @ g

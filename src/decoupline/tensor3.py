@@ -192,7 +192,7 @@ def write_matrix(mat: np.ndarray, path) -> None:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     with open(path, "w") as fh:
         for row in mat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:

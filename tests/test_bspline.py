@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
+from decoupline import bspline
 from decoupline.bspline import (
     Representation,
     SplineBasis,
     SplineFunction,
+    _find_spans,
+    _sorted_knots,
     augment,
     derivative_design_matrix,
     design_matrix,
@@ -53,6 +58,27 @@ def test_knots_need_distinct_samples():
         determine_knots(np.ones(30), df=4, degree=2)
     with pytest.raises(ValueError, match="distinct"):
         determine_knots(np.array([0.0, 1.0, 0.0, 1.0]), df=4, degree=2)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sorted_knots_equal_numpy_quantile(seed):
+    # the interior knots interpolate the sorted rows by numpy's own linear
+    # rule; ties (draws from a small grid) and crowded rows included
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(1, 5))
+    df = degree + 1 + int(rng.integers(1, 12))
+    n = int(rng.integers(df + 1, 400))
+    if seed % 2:
+        rows = rng.integers(0, df + 3, (3, n)) / 7.0
+        rows[:, : df + 1] = np.arange(df + 1) / 7.0  # enough distinct values
+    else:
+        rows = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-3, 4)
+    xs = np.sort(rows, axis=1)
+    qs = np.arange(1, df - degree) / (df - degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        knots = _sorted_knots(xs, df, degree)
+    assert np.array_equal(knots[:, degree + 1 : df], np.quantile(xs, qs, axis=1).T)
 
 
 def test_knots_warn_on_squashed_quantiles():
@@ -275,3 +301,129 @@ def test_derivative_representation_value_fd():
     h = 1e-6
     fd = (g.value(u + h) - g.value(u - h)) / (2 * h)
     assert np.allclose(fd, g.derivative(u), atol=1e-5)
+
+
+# span-local evaluation (SplineFunction.value / derivative)
+
+
+def old_find_spans(t, degree, u):
+    """The owner-span rule as two searches: raw span, then nearest nonempty."""
+    lo, hi = degree, t.size - degree - 2
+    nonempty = np.flatnonzero(np.diff(t) > 0)
+    nonempty = nonempty[(nonempty >= lo) & (nonempty <= hi)]
+    spans = np.clip(np.searchsorted(t, u, side="right") - 1, lo, hi)
+    idx = np.searchsorted(nonempty, spans, side="right") - 1
+    return nonempty[np.clip(idx, 0, nonempty.size - 1)]
+
+
+CROWDED = {
+    1: [0, 0, 0.3, 0.3, 0.6, 1, 1],
+    2: [0, 0, 0, 0.25, 0.5, 0.5, 0.5, 1, 1, 1],
+    3: [0, 0, 0, 0, 0.2, 0.2, 0.7, 0.7, 0.7, 1, 1, 1, 1],
+    4: [0, 0, 0, 0, 0, 0.4, 0.4, 0.4, 0.4, 1, 1, 1, 1, 1],
+}
+
+
+def crowded_basis(degree):
+    knots = np.array(CROWDED[degree], dtype=float) * 3.0 - 1.0
+    return SplineBasis(degree=degree, df=knots.size - degree - 1, knots=knots)
+
+
+def test_find_spans_single_search_equals_two_search_rule():
+    rng = np.random.default_rng(21)
+    for degree in range(0, 5):
+        for basis in (quantile_basis(seed=degree, df=degree + 6, degree=degree)[0],
+                      crowded_basis(max(degree, 1))):
+            t, d = basis.knots, basis.degree
+            u = np.concatenate([rng.uniform(t[0] - 1, t[-1] + 1, 500), t, [-np.inf, np.inf]])
+            assert np.array_equal(_find_spans(t, d, u), old_find_spans(t, d, u))
+
+
+def evaluation_points(basis, rng):
+    lo, hi = basis.domain
+    width = hi - lo
+    inside = rng.uniform(lo, hi, 200)
+    outside = np.concatenate([rng.uniform(lo - width, lo, 20), rng.uniform(hi, hi + width, 20)])
+    return np.concatenate([inside, outside, basis.knots])
+
+
+def dense_level(basis, u, rep, derivative):
+    """The dense design matrix that SplineFunction reads for one level."""
+    if rep is Representation.FUNCTION:
+        return derivative_design_matrix(basis, u) if derivative else design_matrix(basis, u)
+    return design_matrix(basis, u) if derivative else integral_design_matrix(basis, u)
+
+
+def assert_matches_dense(fn, u, derivative):
+    """fn.value / fn.derivative within 64 eps (|c0| + sum_j |c_j M_j(u)|) of the dense product."""
+    c0, cs = fn.coeffs[0], fn.coeffs[1:]
+    m = dense_level(fn.basis, u, fn.representation, derivative)
+    if derivative:
+        got, want, scale = fn.derivative(u), m @ cs, np.abs(m * cs).sum(axis=1)
+    else:
+        got, want, scale = fn.value(u), c0 + m @ cs, abs(c0) + np.abs(m * cs).sum(axis=1)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_span_local_evaluation_matches_dense_reference(rep, degree):
+    rng = np.random.default_rng(100 + degree)
+    for basis in (quantile_basis(seed=degree, df=degree + 8, degree=degree)[0], crowded_basis(degree)):
+        u = evaluation_points(basis, rng)
+        for scale in (1.0, 1e8):
+            # large alternating coefficients cancel, as in poorly conditioned fits
+            c = rng.standard_normal(basis.df + 1) * scale * (-1.0) ** np.arange(basis.df + 1)
+            fn = SplineFunction(basis, c, rep)
+            assert_matches_dense(fn, u, derivative=False)
+            assert_matches_dense(fn, u, derivative=True)
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_span_local_evaluation_single_point_and_empty(rep):
+    basis, _ = quantile_basis(seed=31, df=7, degree=3)
+    c = np.random.default_rng(31).standard_normal(8)
+    fn = SplineFunction(basis, c, rep)
+    assert fn.value(0.3).shape == fn.derivative(0.3).shape == (1,)
+    assert_matches_dense(fn, 0.3, derivative=False)
+    assert_matches_dense(fn, 0.3, derivative=True)
+    assert fn.value([]).shape == fn.derivative(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_span_local_evaluation_is_the_same_in_blocks(rep, monkeypatch):
+    basis, _ = quantile_basis(seed=41, df=9, degree=3)
+    rng = np.random.default_rng(41)
+    fn = SplineFunction(basis, rng.standard_normal(10), rep)
+    u = rng.uniform(-3.0, 3.0, 1000)
+    whole = fn.value(u), fn.derivative(u)
+    monkeypatch.setattr(bspline, "_BLOCK", 7)
+    assert np.array_equal(fn.value(u), whole[0])
+    assert np.array_equal(fn.derivative(u), whole[1])
+    assert_matches_dense(fn, u, derivative=False)
+    assert_matches_dense(fn, u, derivative=True)
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_span_local_evaluation_collapsed_constant_branch(rep):
+    # the projection's stand-in for a collapsed input row: a basis around
+    # the single input value and only the constant set
+    x0, df, degree = 0.7, 8, 3
+    basis = determine_knots(np.linspace(x0 - 1.0, x0 + 1.0, df + degree + 2), df, degree)
+    coeffs = np.zeros(df + 1)
+    coeffs[0] = -2.5
+    fn = SplineFunction(basis, coeffs, rep)
+    u = np.full(50, x0)
+    assert np.array_equal(fn.value(u), np.full(50, -2.5))
+    assert np.array_equal(fn.derivative(u), np.zeros(50))
+
+
+def test_span_local_function_derivative_needs_degree_one():
+    basis = SplineBasis(degree=0, df=3, knots=[0.0, 0.5, 0.7, 1.0])
+    fn = SplineFunction(basis, np.ones(4), Representation.FUNCTION)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        fn.derivative([0.3])
+    assert np.array_equal(
+        SplineFunction(basis, np.ones(4), Representation.DERIVATIVE).derivative([0.3]), [1.0]
+    )

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decoupline import cli
 from decoupline.cli import main
 from decoupline.decoupling import load_model, predict
 from decoupline.sysgen import builtin_trig, jacobian_tensor, sample_for_system, zeroth_matrix
@@ -111,6 +112,34 @@ def test_predict_wrong_input_rows(fixture_files, capsys):
     write_matrix(np.ones((5, 3)), bad)
     assert main(["predict", "--model", str(model_path), "--inputs", str(bad)]) == 1
     assert "rows" in capsys.readouterr().err
+
+
+def test_predict_non_finite_inputs_exit_one(fixture_files, capsys):
+    tmp_path, paths = fixture_files
+    model_path = tmp_path / "model.json"
+    assert main(fit_args(paths, model_path)) == 0
+    capsys.readouterr()
+    bad = tmp_path / "nan_inputs.txt"
+    bad.write_text("0.1,nan,inf\n0.2,0.3,0.0\n")
+    out_path = tmp_path / "pred.txt"
+    code = main(["predict", "--model", str(model_path), "--inputs", str(bad), "--out", str(out_path)])
+    assert code == 1
+    assert "error: non-finite values encountered in inputs, first in column 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_predict_stdout_bytes_match_per_scalar_repr(fixture_files, capsys, monkeypatch):
+    tmp_path, paths = fixture_files
+    model_path = tmp_path / "model.json"
+    assert main(fit_args(paths, model_path)) == 0
+    inputs = tmp_path / "inputs.txt"
+    write_matrix(np.zeros((2, 3)), inputs)
+    special = np.array([[-0.0, 5e-324, 1.5e-310, np.inf], [-np.inf, 1.7976931348623157e308, 0.1, np.nan]])
+    monkeypatch.setattr(cli, "predict", lambda model, X: special)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--inputs", str(inputs)]) == 0
+    expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in special)
+    assert capsys.readouterr().out == expect
 
 
 def test_certify_reports_every_branch(fixture_files, capsys):

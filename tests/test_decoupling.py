@@ -645,6 +645,18 @@ def test_predict_reproduces_final_coupling_product():
     assert np.allclose(pred, model.W1 @ state.R.T, atol=1e-10)
 
 
+def test_predict_rejects_non_finite_inputs():
+    J, F, x = quadratic_fixture(seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, _ = decouple(J, F, x, CmtfConfig(rank=2, degree=2, df=5, seed=0, max_iter=10))
+    with pytest.raises(ValueError, match="non-finite values encountered in inputs, first in column 1"):
+        predict(model, [[0.1, np.nan, np.inf], [0.2, 0.3, 0.0]])
+    with pytest.raises(ValueError, match="column 2"):
+        predict(model, [[0.1, 0.2, 0.3], [0.2, 0.3, -np.inf]])
+    assert np.all(np.isfinite(predict(model, [[0.1, 0.2, 0.3], [0.2, 0.3, 0.0]])))
+
+
 def test_constrained_fit_certifies_every_branch():
     rng = np.random.default_rng(13)
     s = 60

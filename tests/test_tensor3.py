@@ -150,6 +150,18 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(read_matrix(p), mat)
 
 
+def test_matrix_file_bytes_match_per_scalar_repr(tmp_path):
+    mat = np.array([
+        [-0.0, 0.0, 5e-324, 2.225073858507201e-308],
+        [np.inf, -np.inf, 1.7976931348623157e308, -1.7976931348623157e308],
+        [0.1, 1 / 3, np.nan, -1e-300],
+    ])
+    p = tmp_path / "m.txt"
+    write_matrix(mat, p)
+    expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mat)
+    assert p.read_bytes() == expect.encode()
+
+
 def test_file_formats_as_documented(tmp_path):
     # the layouts of the "File formats" section of README.md
     mat = np.array([[1.5, -2.0, 0.1], [3.0, 1e-300, 7.0]])
