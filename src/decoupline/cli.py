@@ -15,6 +15,7 @@ import numpy as np
 
 from .bspline import Representation
 from .decoupling import (
+    STALL_SWEEPS,
     Certification,
     CmtfConfig,
     Constraint,
@@ -58,7 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--rep", choices=sorted(_REPS), default="function")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--max-iter", type=int, default=200)
-    p_dec.add_argument("--rel-tol", type=float, default=1e-8)
+    p_dec.add_argument(
+        "--rel-tol",
+        type=float,
+        default=1e-8,
+        help="stop when one sweep changes the objective by at most this times "
+        f"the previous objective, or when {STALL_SWEEPS} sweeps in a row do not "
+        "lower the best objective by more than this times the best (default: 1e-8)",
+    )
     p_dec.add_argument("--diagnostics", help="write per-iteration CSV here")
     p_dec.add_argument("--out", required=True, help="model JSON output path")
 
@@ -116,7 +124,7 @@ def _cmd_decouple(args) -> int:
         write_diagnostics(state, args.diagnostics)
     obj = state.history[-1][0] if state.history else float("nan")
     print(
-        f"fit finished after {state.iterations} iterations, "
+        f"fit finished after {state.iterations} iterations ({state.stop_reason}), "
         f"objective {obj:.6e}, model written to {args.out}"
     )
     return 0

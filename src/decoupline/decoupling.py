@@ -51,6 +51,7 @@ __all__ = [
     "load_model",
     "write_diagnostics",
     "CERT_COEFF_TOL",
+    "STALL_SWEEPS",
 ]
 
 # slack on the coefficient sign test used for monotonicity certificates
@@ -80,8 +81,11 @@ class CmtfConfig:
     representation: FUNCTION fits the spline to g, DERIVATIVE to g'.
     constraint: MONOTONE_INCREASING forces nonnegative spline coefficients
         (derivative representation only, where that means g' >= 0).
-    max_iter / rel_tol: stop after max_iter sweeps or when the relative
-        objective change over one sweep drops below rel_tol.
+    max_iter / rel_tol: stop when one sweep changes the objective by at
+        most rel_tol times the previous objective ("converged"), when
+        STALL_SWEEPS sweeps in a row fail to lower the best objective so far
+        by more than rel_tol times that best ("stalled"), or after max_iter
+        sweeps ("budget").
     seed / init_scale: reproducible random init; W0 entries are standard
         normal times init_scale, G and R standard normal. W1 needs no init
         because the first sweep produces it.
@@ -155,6 +159,8 @@ class FitState:
     """Mutable state of one run: factors, sweep counter, objective history.
 
     history rows are (objective, tensor_term, coupling_term) per sweep.
+    stop_reason is "converged", "stalled" or "budget" once the fit has
+    returned (see CmtfConfig.max_iter / rel_tol).
     """
 
     W1: np.ndarray
@@ -163,6 +169,7 @@ class FitState:
     R: np.ndarray
     iterations: int = 0
     history: list = field(default_factory=list)
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -370,8 +377,12 @@ def bspline_projection(
     )
 
 
-def _warn_rank(result, step: str, warned: set) -> None:
-    if result.rank_deficient and step not in warned:
+def _warn_rank(result, shape: tuple, step: str, warned: set) -> None:
+    """Warn once per step when its rank falls below min(shape) of its
+    left-hand side. A wide left-hand side (the R update when there are
+    fewer outputs than branches) is underdetermined by construction and
+    its min-norm solve is intended, so that alone does not warn."""
+    if result.rank < min(shape) and step not in warned:
         warned.add(step)
         warnings.warn(f"rank-deficient system in {step}", stacklevel=3)
 
@@ -380,6 +391,11 @@ def _warn_rank(result, step: str, warned: set) -> None:
 # next sweep's Khatri-Rao products; abort as divergence instead of letting
 # the least-squares backend blow up on non-finite input
 _DIVERGENCE_CAP = 1e60
+
+# the composite sweep is not a descent method, so the one-step rel_tol test
+# rarely fires; stop once this many sweeps in a row fail to lower the best
+# objective so far by more than rel_tol times that best
+STALL_SWEEPS = 100
 
 
 def _check_diverged(name: str, arr, it: int) -> None:
@@ -400,8 +416,16 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
     One sweep updates W1 (coupled fit of the mode-1 unfolding and lam*F),
     W0 (mode-2 unfolding), normalizes W0^T columns into W1, updates G
     (mode-3 unfolding) and R (fit of F against W1), then projects (G, R)
-    onto spline structure at the current branch inputs W0 @ samples. Stops
-    on max_iter or when the relative objective change falls below rel_tol.
+    onto spline structure at the current branch inputs W0 @ samples.
+
+    Stops when one sweep changes the objective by at most rel_tol times the
+    previous one ("converged"), when STALL_SWEEPS sweeps in a row bring no
+    drop of the best objective so far by more than rel_tol times that best
+    ("stalled"), or after max_iter sweeps ("budget"); the reason goes to
+    FitState.stop_reason. Under a geometric lambda schedule the stall window
+    restarts whenever lam changes, since objectives at different lam do not
+    compare. The last iterate is returned, so a fit that stops at sweep N
+    equals the same fit run with max_iter=N.
 
     Returns (DecoupledModel, FitState). When a list is passed as trace, a
     per-sweep dict of before/after subproblem values and intermediate
@@ -440,15 +464,23 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
     proj = None
     x = None
     lam = config.lam
+    stop_reason = "budget"
+    window_lam = best = None
+    last_drop = 0
 
     for it in range(config.max_iter):
+        # tested before a sweep, not after one, so that a fit which stalls at
+        # sweep N is the fit with max_iter=N, ending on "budget" there
+        if it - last_drop > STALL_SWEEPS:
+            stop_reason = "stalled"
+            break
         lam = config.lam_at(it)
         rec = None if trace is None else {"iteration": it, "lam": lam}
 
         if rec is not None:
             rec["w1_before"] = objective(J, F, W1, W0, G, R, lam)
         out = stacked_lstsq(khatri_rao(G, W0.T), u1.T, R, F.T, lam)
-        _warn_rank(out, "W1 update", warned)
+        _warn_rank(out, (s * (m + 1), r), "W1 update", warned)
         W1 = out.solution.T
         _check_diverged("W1", W1, it)
         if rec is not None:
@@ -459,7 +491,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
         if rec is not None:
             rec["w0_before"] = frob_norm_sq(u2.T - k2 @ W0)
         out = lstsq(k2, u2.T)
-        _warn_rank(out, "W0 update", warned)
+        _warn_rank(out, k2.shape, "W0 update", warned)
         W0 = out.solution
         _check_diverged("W0", W0, it)
         if rec is not None:
@@ -471,7 +503,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
         if rec is not None:
             rec["g_before"] = frob_norm_sq(u3.T - k3 @ G.T)
         out = lstsq(k3, u3.T)
-        _warn_rank(out, "G update", warned)
+        _warn_rank(out, k3.shape, "G update", warned)
         G = out.solution.T
         _check_diverged("G", G, it)
         if rec is not None:
@@ -480,7 +512,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
         if rec is not None:
             rec["r_before"] = frob_norm_sq(F - W1 @ R.T)
         out = lstsq(W1, F)
-        _warn_rank(out, "R update", warned)
+        _warn_rank(out, W1.shape, "R update", warned)
         R = out.solution.T
         _check_diverged("R", R, it)
         if rec is not None:
@@ -516,11 +548,19 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
         if prev_obj is not None and (
             prev_obj == 0 or abs(prev_obj - obj) <= config.rel_tol * prev_obj
         ):
+            stop_reason = "converged"
             break
         prev_obj = obj
+        if lam != window_lam:
+            window_lam, best, last_drop = lam, obj, it
+        elif obj < best:
+            if best - obj > config.rel_tol * best:
+                last_drop = it
+            best = obj
 
     branches, G, R = _assemble_branches(proj, G, R, x, lam, config)
     state.W1, state.W0, state.G, state.R = W1, W0, G, R
+    state.stop_reason = stop_reason
     model = DecoupledModel(W1=W1.copy(), W0=W0.copy(), branches=branches, config=config)
     return model, state
 

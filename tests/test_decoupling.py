@@ -16,6 +16,7 @@ from decoupline.bspline import (
     integral_design_matrix,
 )
 from decoupline.decoupling import (
+    STALL_SWEEPS,
     Certification,
     CmtfConfig,
     Constraint,
@@ -34,7 +35,7 @@ from decoupline.decoupling import (
     save_model,
     write_diagnostics,
 )
-from decoupline.solvers import stacked_lstsq
+from decoupline.solvers import lstsq, stacked_lstsq
 from decoupline.sysgen import (
     builtin_trig,
     jacobian_tensor,
@@ -599,14 +600,105 @@ def test_dimension_mismatches_rejected():
                  CmtfConfig(rank=2, degree=2, df=5))
 
 
-def test_wide_w1_warns_rank_deficient():
+def test_wide_w1_r_update_does_not_warn():
+    # W1 is 2 x 3 here, so the min-norm R solve is underdetermined by design
     sys = builtin_trig()
-    samples = sample_uniform(2, 60, -1.5, 1.5, 0)
+    samples = sample_uniform(2, 100, -1.5, 1.5, 0)
     J = jacobian_tensor(sys, samples.X)
     F = zeroth_matrix(sys, samples.X)
-    cfg = CmtfConfig(rank=3, degree=3, df=6, seed=0, max_iter=3)
+    cfg = CmtfConfig(rank=3, degree=3, df=16, lam=0.01, seed=0, max_iter=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, state = decouple(J, F, samples.X, cfg)
+    assert not [w for w in caught if "R update" in str(w.message)]
+    # the solver still reports the system as rank-deficient
+    assert lstsq(state.W1, F).rank_deficient
+
+
+def test_rank_deficient_square_w1_still_warns():
+    # two identical outputs make both rows of the square W1 equal
+    sys = builtin_trig()
+    samples = sample_uniform(2, 60, -1.5, 1.5, 0)
+    J = jacobian_tensor(sys, samples.X).data
+    F = zeroth_matrix(sys, samples.X)
+    cfg = CmtfConfig(rank=2, degree=3, df=6, seed=0, max_iter=3)
     with pytest.warns(UserWarning, match="rank-deficient system in R update"):
-        decouple(J, F, samples.X, cfg)
+        _, state = decouple(Tensor3(J[[0, 0]]), F[[0, 0]], samples.X, cfg)
+    assert state.W1.shape == (2, 2)
+    assert lstsq(state.W1, F[[0, 0]]).rank == 1
+
+
+# stopping rules
+
+
+def _trig_fit(**overrides):
+    sys = builtin_trig()
+    samples = sample_uniform(2, 100, -1.5, 1.5, 1)
+    J = jacobian_tensor(sys, samples.X)
+    F = zeroth_matrix(sys, samples.X)
+    settings = dict(rank=3, degree=3, df=16, lam=0.01, seed=1, max_iter=800, rel_tol=1e-12)
+    cfg = CmtfConfig(**{**settings, **overrides})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, state = decouple(J, F, samples.X, cfg)
+    return cfg, model, state
+
+
+@pytest.fixture(scope="module")
+def stalled_trig_fit():
+    return _trig_fit()
+
+
+def test_trig_fit_stops_when_best_objective_stalls(stalled_trig_fit):
+    cfg, _, state = stalled_trig_fit
+    n = state.iterations
+    assert state.stop_reason == "stalled"
+    assert STALL_SWEEPS < n < cfg.max_iter
+    h = np.array(state.history)[:, 0]
+    best = np.minimum.accumulate(h)
+    # drops[i]: sweep i + 2 lowered the best by more than rel_tol * best
+    drops = best[:-1] - best[1:] > cfg.rel_tol * best[:-1]
+    assert not drops[-STALL_SWEEPS:].any()
+    assert drops[-STALL_SWEEPS - 1]
+
+
+def test_stalled_fit_equals_the_budget_run_of_the_same_length(stalled_trig_fit):
+    _, model_a, state_a = stalled_trig_fit
+    _, model_b, state_b = _trig_fit(max_iter=state_a.iterations)
+    assert state_b.stop_reason == "budget"
+    assert state_b.iterations == state_a.iterations
+    assert np.array_equal(np.array(state_a.history), np.array(state_b.history))
+    for name in ("W1", "W0", "G", "R"):
+        assert np.array_equal(getattr(state_a, name), getattr(state_b, name))
+    assert np.array_equal(model_a.W1, model_b.W1) and np.array_equal(model_a.W0, model_b.W0)
+    for a, b in zip(model_a.branches, model_b.branches):
+        assert np.array_equal(a.basis.knots, b.basis.knots)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_geometric_schedule_does_not_stall_while_lam_grows():
+    # the fixed-schedule fit of this config stalls (see above); every lam
+    # change restarts the window, so the growing schedule runs to budget
+    _, _, state = _trig_fit(lambda_schedule="geometric", lambda_factor=1.001, max_iter=300)
+    assert (state.iterations, state.stop_reason) == (300, "budget")
+    cfg, _, state = _trig_fit(lambda_schedule="geometric", lambda_factor=1.001, lambda_cap=0.0105)
+    capped = next(it for it in range(cfg.max_iter) if cfg.lam_at(it) == cfg.lam_at(it + 1))
+    assert state.stop_reason == "stalled"
+    assert state.iterations > capped + STALL_SWEEPS
+
+
+def test_one_step_test_still_stops_first(quadratic_system):
+    J, F, x = quadratic_system
+    cfg = CmtfConfig(rank=2, degree=2, df=5, lam=1.0, seed=2, rel_tol=0.03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, state = decouple(J, F, x, cfg)
+    # the stall rule neither pre-empts nor delays the one-step test: the fit
+    # ends on the first sweep whose one-step change is within rel_tol
+    assert (state.iterations, state.stop_reason) == (14, "converged")
+    h = np.array(state.history)[:, 0]
+    fired = np.abs(np.diff(h)) <= cfg.rel_tol * h[:-1]
+    assert np.flatnonzero(fired)[0] + 2 == state.iterations
 
 
 def test_decouple_with_reference_projection_is_bit_identical(monkeypatch):
