@@ -44,7 +44,7 @@ from .sysgen import (
     sample_uniform,
     zeroth_matrix,
 )
-from .tensor3 import CpdFactors, Tensor3, khatri_rao, reconstruct, unfold
+from .tensor3 import Tensor3, khatri_rao, unfold
 
 __version__ = "0.1.0"
 
@@ -79,10 +79,8 @@ __all__ = [
     "sample_for_system",
     "sample_uniform",
     "zeroth_matrix",
-    "CpdFactors",
     "Tensor3",
     "khatri_rao",
-    "reconstruct",
     "unfold",
     "__version__",
 ]

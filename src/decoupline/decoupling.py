@@ -266,27 +266,30 @@ def _branch_matrices(basis: SplineBasis, u, representation: Representation):
     return b_mat, btil
 
 
-def _nonneg_coeffs(b_mat, btil, g_col, r_col, lam) -> np.ndarray:
+def _nonneg_coeffs(b_mat, btil, g_col, r_col, lam, warm=None) -> np.ndarray:
     """Stacked fit of one branch with c[1:] >= 0 and c[0] free."""
     root = np.sqrt(lam)
     return _nonneg_stacked(
-        np.vstack([b_mat, root * btil]), np.concatenate([g_col, root * r_col])
+        np.vstack([b_mat, root * btil]), np.concatenate([g_col, root * r_col]), warm
     )
 
 
-def _nonneg_stacked(a, y) -> np.ndarray:
+def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
     """min ||a c - y|| over c with c[1:] >= 0, for the stacked [B; sqrt(lam) Btil].
 
     The free constant is eliminated by projecting the stacked system onto
     the orthogonal complement of its column, running NNLS there, and
     recovering c[0] from its closed-form optimum afterwards. The split is
-    exact because the objective separates along that column.
+    exact because the objective separates along that column. A warm
+    coefficient vector (the branch's last fit, or None) seeds the NNLS
+    with its c[1:].
     """
     a0 = a[:, 0]
     rest = a[:, 1:]
     nrm2 = float(a0 @ a0)  # the ones column makes this lam * S > 0
     mix = (a0 @ rest) / nrm2
-    res = nnls(rest - np.outer(a0, mix), y - a0 * float(a0 @ y / nrm2))
+    x0 = None if warm is None else warm[1:]
+    res = nnls(rest - np.outer(a0, mix), y - a0 * float(a0 @ y / nrm2), x0=x0)
     if res.cap_exceeded:
         warnings.warn("nnls hit its iteration cap during projection", stacklevel=2)
     c_plus = res.solution
@@ -303,6 +306,7 @@ def bspline_projection(
     lam: float,
     representation: Representation,
     constraint: Constraint,
+    warm=None,
 ) -> ProjectionResult:
     """Project each (G, R) column pair onto one spline coefficient vector.
 
@@ -312,6 +316,12 @@ def bspline_projection(
     spline values. Under MONOTONE_INCREASING the spline block is solved by
     NNLS; if that returns all zeros the branch is replaced by leaky ReLU
     samples for this sweep instead (coeffs entry None).
+
+    warm, when given, is the coeffs of the previous projection: each
+    constrained branch starts its NNLS from its own previous coefficients
+    (a None or all-zero entry starts cold). The NNLS result does not depend
+    on its start beyond the free set it ends on (see solvers.nnls), so
+    this only saves solves; the unconstrained arm ignores warm.
 
     The branches share one sort of x_samples, one quantile call, one span
     search per row and one basis recursion; each branch's blocks are then
@@ -364,7 +374,7 @@ def bspline_projection(
             if constraint is Constraint.NONE:
                 c = np.linalg.lstsq(a[:rows], y[:rows], rcond=RANK_RCOND)[0]
             else:
-                c = _nonneg_stacked(a, y)
+                c = _nonneg_stacked(a, y, None if warm is None else warm[j])
                 if np.all(c[1:] == 0):
                     G[:, j], R[:, j] = leaky_relu_fallback(u[i])
                     fallback[j] = True
@@ -524,7 +534,8 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
             rec["proj_r_before"] = R.copy()
             rec["x"] = x.copy()
         proj = bspline_projection(
-            G, R, config.df, config.degree, x, lam, config.representation, config.constraint
+            G, R, config.df, config.degree, x, lam, config.representation, config.constraint,
+            warm=None if proj is None else proj.coeffs,
         )
         G, R = proj.G, proj.R
         _check_diverged("projected G", G, it)

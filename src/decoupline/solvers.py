@@ -91,19 +91,30 @@ def stacked_lstsq(lhs1, rhs1, lhs2, rhs2, lam: float) -> LsqResult:
     return LsqResult(solution=sol, rank=out.rank, rank_deficient=out.rank_deficient)
 
 
-def nnls(lhs: np.ndarray, rhs: np.ndarray, max_iter: int | None = None) -> NnlsResult:
+def nnls(
+    lhs: np.ndarray, rhs: np.ndarray, max_iter: int | None = None, x0=None
+) -> NnlsResult:
     """Nonnegative least squares min ||lhs @ x - rhs|| s.t. x >= 0.
 
-    Active-set method. Starting from x = 0 with every coordinate active,
-    repeatedly move the coordinate with the largest positive gradient
-    component into the free set, re-solve the unconstrained subproblem on
-    the free set, and walk back along the segment to the previous iterate
-    whenever the subproblem solution leaves the feasible cone.
+    Active-set method (Lawson-Hanson). Starting from x = 0 with every
+    coordinate active, repeatedly move the coordinate with the largest
+    positive gradient component into the free set, re-solve the
+    unconstrained subproblem on the free set, and walk back along the
+    segment to the previous iterate whenever the subproblem solution leaves
+    the feasible cone.
+
+    With x0 (nonnegative, one entry per column of lhs) the method starts
+    from x = x0 with the free set x0 > 0 instead, and first re-solves on
+    that set. An all-zero x0 is a cold start. Every return that passes the
+    KKT test after a solve is the solve lstsq(lhs[:, free], rhs) on its
+    final free set, so a warm start that ends on the cold run's free set
+    returns the cold run's bits, after fewer solves when x0 is close.
 
     Terminates when every active coordinate has gradient component above
     -KKT_RTOL * scale, where scale = max column norm of lhs times ||rhs||.
-    If the iteration cap (default 30 * ncols) is hit, the best feasible
-    iterate seen so far is returned with cap_exceeded set.
+    If the iteration cap (default 30 * ncols; each free-set solve counts
+    one) is hit, the best feasible iterate seen so far, x = 0 and x0
+    included, is returned with cap_exceeded set.
     """
     a = np.asarray(lhs, dtype=float)
     b = np.asarray(rhs, dtype=float).ravel()
@@ -112,24 +123,42 @@ def nnls(lhs: np.ndarray, rhs: np.ndarray, max_iter: int | None = None) -> NnlsR
     p, q = a.shape
     if b.size != p:
         raise ValueError(f"row mismatch: lhs has {p} rows, rhs has {b.size}.")
+    for name, arr in (("lhs", a), ("rhs", b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite values encountered in {name}.")
     if max_iter is None:
         max_iter = 30 * q
     col_norms = np.linalg.norm(a, axis=0)
     scale = float(col_norms.max(initial=0.0) * np.linalg.norm(b))
     tol = KKT_RTOL * scale
 
-    x = np.zeros(q)
-    free = np.zeros(q, dtype=bool)
-    best_x = x.copy()
+    x = np.zeros(q) if x0 is None else np.array(x0, dtype=float).ravel()
+    if x.size != q:
+        raise ValueError(f"x0 has {x.size} entries, lhs has {q} columns.")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite values encountered in x0.")
+    if np.any(x < 0):
+        raise ValueError("x0 must be nonnegative.")
+    free = x > 0
+    best_x = np.zeros(q)
     best_res = float(np.linalg.norm(b))
+    # a warm start re-solves on its own free set before growing it
+    grow = not free.any()
+    if not grow:
+        res = float(np.linalg.norm(b - a @ x))
+        if res < best_res:
+            best_res = res
+            best_x = x.copy()
     iters = 0
 
     while True:
-        grad = a.T @ (b - a @ x)
-        candidates = np.flatnonzero(~free & (grad > tol))
-        if candidates.size == 0:
-            return NnlsResult(solution=x, iterations=iters, cap_exceeded=False)
-        free[candidates[np.argmax(grad[candidates])]] = True
+        if grow:
+            grad = a.T @ (b - a @ x)
+            candidates = np.flatnonzero(~free & (grad > tol))
+            if candidates.size == 0:
+                return NnlsResult(solution=x, iterations=iters, cap_exceeded=False)
+            free[candidates[np.argmax(grad[candidates])]] = True
+        grow = True
 
         while True:
             iters += 1

@@ -35,10 +35,12 @@ from decoupline.decoupling import (
     save_model,
     write_diagnostics,
 )
-from decoupline.solvers import lstsq, stacked_lstsq
+from decoupline.solvers import lstsq, nnls, stacked_lstsq
 from decoupline.sysgen import (
+    builtin_mono,
     builtin_trig,
     jacobian_tensor,
+    sample_for_system,
     sample_uniform,
     zeroth_matrix,
 )
@@ -315,7 +317,8 @@ def test_leaky_relu_fallback_values():
 # projection against a per-branch reference
 
 
-def reference_projection(G, R, df, degree, x_samples, lam, representation, constraint):
+def reference_projection(G, R, df, degree, x_samples, lam, representation, constraint,
+                         warm=None):
     """bspline_projection one branch at a time from the public 1-D functions."""
     G = np.array(G, dtype=float)
     R = np.array(R, dtype=float)
@@ -346,7 +349,8 @@ def reference_projection(G, R, df, degree, x_samples, lam, representation, const
         if constraint is Constraint.NONE:
             c = np.asarray(stacked_lstsq(b_mat, G[:, j], btil, R[:, j], lam).solution).ravel()
         else:
-            c = _nonneg_coeffs(b_mat, btil, G[:, j], R[:, j], lam)
+            c = _nonneg_coeffs(b_mat, btil, G[:, j], R[:, j], lam,
+                               None if warm is None else warm[j])
             if np.all(c[1:] == 0):
                 G[:, j], R[:, j] = leaky_relu_fallback(u)
                 coeffs.append(None)
@@ -412,6 +416,23 @@ def test_projection_reference_collapsed_row(rep, constraint):
     x = np.vstack([rng.uniform(-1, 1, s), np.full(s, 0.7), np.zeros(s)])
     got, want, _ = both_projections(G, R, 6, 4, x, 0.1, rep, constraint)
     assert_same_projection(got, want)
+
+
+@pytest.mark.parametrize("rep", [Representation.FUNCTION, Representation.DERIVATIVE])
+def test_projection_warm_start_is_bit_identical(rep):
+    rng = np.random.default_rng(33)
+    s = 40
+    G = rng.standard_normal((s, 3)) + 0.5
+    R = rng.standard_normal((s, 3))
+    x = rng.uniform(-2, 2, (3, s))
+    args = (G, R, 10, 4, x, 0.1, rep, Constraint.MONOTONE_INCREASING)
+    cold = bspline_projection(*args)
+    # a nearby sweep's coefficients, and entries that must start cold
+    other = bspline_projection(G + 0.3 * rng.standard_normal((s, 3)), R, *args[2:])
+    starts = [cold.coeffs, other.coeffs, (None, np.zeros(11), other.coeffs[2])]
+    for warm in starts:
+        assert_same_projection(bspline_projection(*args, warm=warm), cold)
+        assert_same_projection(reference_projection(*args, warm=warm), cold)
 
 
 def test_projection_reference_leaky_relu_fallback():
@@ -721,6 +742,43 @@ def test_decouple_with_reference_projection_is_bit_identical(monkeypatch):
     for a, b in zip(model_a.branches, model_b.branches):
         assert np.array_equal(a.basis.knots, b.basis.knots)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def _mono_fit_counting_nnls(monkeypatch, warm_start: bool):
+    """Constrained mono fit (df 12, seed 3) and its summed NNLS iterations."""
+    system = builtin_mono(3)
+    samples = sample_for_system(system, 100, -1.5, 1.5, 3)
+    J = jacobian_tensor(system, samples)
+    F = zeroth_matrix(system, samples)
+    cfg = CmtfConfig(rank=3, degree=4, df=12, lam=0.1, seed=3, max_iter=200, rel_tol=1e-8,
+                     representation=Representation.DERIVATIVE,
+                     constraint=Constraint.MONOTONE_INCREASING)
+    iterations = []
+
+    def counted(lhs, rhs, max_iter=None, x0=None):
+        out = nnls(lhs, rhs, max_iter, x0 if warm_start else None)
+        iterations.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(decoupling, "nnls", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, state = decouple(J, F, samples.X, cfg)
+    return model, state, iterations
+
+
+def test_warm_started_nnls_leaves_the_fit_bit_identical(monkeypatch):
+    cold_model, cold_state, cold_iters = _mono_fit_counting_nnls(monkeypatch, False)
+    warm_model, warm_state, warm_iters = _mono_fit_counting_nnls(monkeypatch, True)
+    assert warm_state.iterations == cold_state.iterations
+    assert len(warm_iters) == len(cold_iters) > 0
+    assert np.array_equal(np.array(warm_state.history), np.array(cold_state.history))
+    for name in ("W1", "W0", "G", "R"):
+        assert np.array_equal(getattr(warm_state, name), getattr(cold_state, name))
+    for a, b in zip(warm_model.branches, cold_model.branches):
+        assert np.array_equal(a.basis.knots, b.basis.knots)
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert sum(warm_iters) < sum(cold_iters) / 2
 
 
 def test_predict_reproduces_final_coupling_product():

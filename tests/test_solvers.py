@@ -174,3 +174,99 @@ def test_nnls_shape_errors():
         nnls(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError, match="matrix"):
         nnls(np.zeros(3), np.zeros(3))
+
+
+def test_nnls_rejects_non_finite_inputs():
+    with pytest.raises(ValueError, match="non-finite values encountered in lhs"):
+        nnls([[np.nan, 1.0], [1.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite values encountered in lhs"):
+        nnls([[np.inf, 1.0], [1.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite values encountered in rhs"):
+        nnls(np.eye(2), [1.0, -np.inf])
+
+
+def test_nnls_rejects_bad_x0():
+    a, b = np.eye(3), np.ones(3)
+    with pytest.raises(ValueError, match="x0 has 2 entries, lhs has 3 columns"):
+        nnls(a, b, x0=np.ones(2))
+    with pytest.raises(ValueError, match="non-finite values encountered in x0"):
+        nnls(a, b, x0=[1.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        nnls(a, b, x0=[1.0, -1e-300, 0.0])
+
+
+def random_x0(rng, q):
+    """Nonnegative start with a random support, often the wrong one."""
+    return rng.uniform(0.0, 2.0, q) * (rng.random(q) < 0.5)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 12))
+def test_nnls_warm_start_kkt_conditions(seed, q, p):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, q))
+    b = rng.standard_normal(p)
+    x0 = random_x0(rng, q)
+    out = nnls(a, b, x0=x0)
+    assert not out.cap_exceeded
+    assert np.all(out.solution >= 0)
+    assert kkt_satisfied(a, b, out.solution)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10_000))
+def test_nnls_warm_start_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((15, 6))
+    b = rng.standard_normal(15)
+    ours = nnls(a, b, x0=random_x0(rng, 6)).solution
+    theirs, _ = scipy.optimize.nnls(a, b)
+    assert np.allclose(ours, theirs, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nnls_warm_start_at_the_solution_is_one_solve(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((40, 12))
+    b = rng.standard_normal(40)
+    cold = nnls(a, b)
+    assert 0 < np.count_nonzero(cold.solution) < 12
+    warm = nnls(a, b, x0=cold.solution)
+    assert warm.iterations == 1
+    assert not warm.cap_exceeded
+    assert np.array_equal(warm.solution, cold.solution)
+
+
+def test_nnls_all_zero_x0_is_a_cold_start():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((30, 10))
+    b = rng.standard_normal(30)
+    cold = nnls(a, b)
+    warm = nnls(a, b, x0=np.zeros(10))
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(warm.solution, cold.solution)
+
+
+def test_nnls_warm_cap_returns_feasible_iterate_no_worse_than_x0():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((30, 10))
+    b = rng.standard_normal(30)
+    cold = nnls(a, b).solution
+    # a poor start: free exactly where the solution is zero, and far off
+    x0 = np.where(cold > 0, 0.0, 5.0)
+    out = nnls(a, b, max_iter=1, x0=x0)
+    assert out.cap_exceeded
+    assert out.iterations == 1
+    assert np.all(out.solution >= 0)
+    assert np.linalg.norm(b - a @ out.solution) <= np.linalg.norm(b - a @ x0)
+    assert np.linalg.norm(b - a @ out.solution) <= np.linalg.norm(b) + 1e-12
+
+
+def test_nnls_cap_keeps_x0_when_it_beats_every_iterate():
+    # zero solves allowed: the best feasible point seen is x0 itself
+    a = np.eye(3)
+    b = np.array([1.0, 2.0, 3.0])
+    x0 = np.array([0.9, 2.1, 0.0])
+    out = nnls(a, b, max_iter=0, x0=x0)
+    assert out.cap_exceeded
+    assert np.array_equal(out.solution, x0)
