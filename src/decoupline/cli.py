@@ -26,7 +26,14 @@ from .decoupling import (
     save_model,
     write_diagnostics,
 )
-from .experiments import mono_spec, run_mono_experiment, run_trig_experiment, trig_spec
+from .experiments import (
+    median_table,
+    mono_spec,
+    monotone_counts,
+    run_mono_experiment,
+    run_trig_experiment,
+    trig_spec,
+)
 from .tensor3 import read_matrix, read_tensor, write_matrix
 
 _REPS = {"function": Representation.FUNCTION, "derivative": Representation.DERIVATIVE}
@@ -146,7 +153,39 @@ def _cmd_experiment(args) -> int:
     runner = run_trig_experiment if args.kind == "trig" else run_mono_experiment
     records = runner(spec)
     print(f"{len(records)} runs recorded in {spec.out_dir}/results.csv")
+    print("\n".join(_summary_lines(spec, records)))
     return 0
+
+
+def _summary_lines(spec, records) -> list:
+    """Median table of a finished sweep, one row per df (per degree for mono).
+
+    trig: median worst-output error of the poly refit, one column per
+    degree. mono: runs with every branch certified, and median Error(J),
+    for the unconstrained and constrained arms.
+    """
+    if spec.kind == "trig":
+        meds = median_table(records, lambda rec: max(rec.poly_errors))
+        lines = [
+            "median worst-output error of the poly refit (%):",
+            "  df" + "".join(f"{f'd={d}':>9}" for d in spec.degrees),
+        ]
+        for df in spec.dfs:
+            lines.append(f"{df:4d}" + "".join(f"{meds[(d, df, False)]:9.3f}" for d in spec.degrees))
+        return lines
+    meds = median_table(records, lambda rec: rec.error_j)
+    lines = [
+        "         certified    median Error(J)",
+        "   d  df  unc  con      unc      con",
+    ]
+    for d in spec.degrees:
+        counts = monotone_counts([rec for rec in records if rec.degree == d])
+        for df in spec.dfs:
+            lines.append(
+                f"{d:4d}{df:4d}{counts[(False, df)]:5d}{counts[(True, df)]:5d}"
+                f"{meds[(d, df, False)]:9.4f}{meds[(d, df, True)]:9.4f}"
+            )
+    return lines
 
 
 def _cmd_certify(args) -> int:

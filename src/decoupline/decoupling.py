@@ -75,9 +75,7 @@ class CmtfConfig:
     rank: number of branch functions r.
     degree: polynomial degree d of the branch functions.
     df: degrees of freedom (basis functions) per branch.
-    lam: coupling weight on the zeroth-order term.
-    lambda_schedule: "fixed", or "geometric" to grow lam by lambda_factor
-        each iteration (clipped at lambda_cap when set).
+    lam: coupling weight on the zeroth-order term, fixed for the whole fit.
     representation: FUNCTION fits the spline to g, DERIVATIVE to g'.
     constraint: MONOTONE_INCREASING forces nonnegative spline coefficients
         (derivative representation only, where that means g' >= 0).
@@ -86,24 +84,19 @@ class CmtfConfig:
         STALL_SWEEPS sweeps in a row fail to lower the best objective so far
         by more than rel_tol times that best ("stalled"), or after max_iter
         sweeps ("budget").
-    seed / init_scale: reproducible random init; W0 entries are standard
-        normal times init_scale, G and R standard normal. W1 needs no init
-        because the first sweep produces it.
+    seed: reproducible random init; W0, G and R entries are standard
+        normal. W1 needs no init because the first sweep produces it.
     """
 
     rank: int
     degree: int
     df: int
     lam: float = 0.1
-    lambda_schedule: str = "fixed"
-    lambda_factor: float = 1.0
-    lambda_cap: float | None = None
     representation: Representation = Representation.FUNCTION
     constraint: Constraint = Constraint.NONE
     max_iter: int = 200
     rel_tol: float = 1e-8
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.rank < 1:
@@ -116,20 +109,10 @@ class CmtfConfig:
             )
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}.")
-        if self.lambda_schedule not in ("fixed", "geometric"):
-            raise ValueError(
-                f"lambda_schedule must be 'fixed' or 'geometric', got {self.lambda_schedule!r}."
-            )
-        if self.lambda_schedule == "geometric" and not self.lambda_factor > 0:
-            raise ValueError(f"lambda_factor must be positive, got {self.lambda_factor}.")
-        if self.lambda_cap is not None and not self.lambda_cap > 0:
-            raise ValueError(f"lambda_cap must be positive, got {self.lambda_cap}.")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}.")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}.")
-        if not self.init_scale > 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}.")
         if not isinstance(self.representation, Representation):
             raise ValueError(f"bad representation {self.representation!r}.")
         if not isinstance(self.constraint, Constraint):
@@ -143,15 +126,6 @@ class CmtfConfig:
             raise ValueError(
                 "MONOTONE_INCREASING requires the DERIVATIVE representation."
             )
-
-    def lam_at(self, iteration: int) -> float:
-        """Coupling weight in effect at a given sweep (0-based)."""
-        if self.lambda_schedule == "fixed":
-            return self.lam
-        lam = self.lam * self.lambda_factor**iteration
-        if self.lambda_cap is not None:
-            lam = min(lam, self.lambda_cap)
-        return lam
 
 
 @dataclass
@@ -240,16 +214,21 @@ def normalize_columns_w0t(W0: np.ndarray, W1: np.ndarray) -> tuple[np.ndarray, n
     return W0 / scale[:, None], W1 * scale[None, :]
 
 
-def leaky_relu_fallback(u, slope: float = -0.5) -> tuple[np.ndarray, np.ndarray]:
+# slope of the fallback's derivative below zero; negative, so that
+# slope * u >= 0 there and the fallback branch is increasing everywhere
+FALLBACK_SLOPE = -0.5
+
+
+def leaky_relu_fallback(u) -> tuple[np.ndarray, np.ndarray]:
     """Replacement branch samples when the constrained fit collapses to zero.
 
-    Derivative column gets L(u) = u for u >= 0 and slope*u below (with
-    slope = -0.5 that is nonnegative everywhere); function column gets the
-    antiderivative of L anchored at 0.
+    Derivative column gets L(u) = u for u >= 0 and FALLBACK_SLOPE * u below
+    (nonnegative everywhere); function column gets the antiderivative of L
+    anchored at 0.
     """
     u = np.asarray(u, dtype=float)
-    g_col = np.where(u >= 0, u, slope * u)
-    r_col = np.where(u >= 0, 0.5 * u * u, slope * 0.5 * u * u)
+    g_col = np.where(u >= 0, u, FALLBACK_SLOPE * u)
+    r_col = np.where(u >= 0, 0.5 * u * u, FALLBACK_SLOPE * 0.5 * u * u)
     return g_col, r_col
 
 
@@ -432,10 +411,8 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
     previous one ("converged"), when STALL_SWEEPS sweeps in a row bring no
     drop of the best objective so far by more than rel_tol times that best
     ("stalled"), or after max_iter sweeps ("budget"); the reason goes to
-    FitState.stop_reason. Under a geometric lambda schedule the stall window
-    restarts whenever lam changes, since objectives at different lam do not
-    compare. The last iterate is returned, so a fit that stops at sweep N
-    equals the same fit run with max_iter=N.
+    FitState.stop_reason. The last iterate is returned, so a fit that stops
+    at sweep N equals the same fit run with max_iter=N.
 
     Returns (DecoupledModel, FitState). When a list is passed as trace, a
     per-sweep dict of before/after subproblem values and intermediate
@@ -460,7 +437,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
 
     rng = np.random.default_rng(config.seed)
     r = config.rank
-    W0 = rng.standard_normal((r, m)) * config.init_scale
+    W0 = rng.standard_normal((r, m))
     G = rng.standard_normal((s, r))
     R = rng.standard_normal((s, r))
     W1 = np.zeros((n, r))
@@ -475,7 +452,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
     x = None
     lam = config.lam
     stop_reason = "budget"
-    window_lam = best = None
+    best = np.inf
     last_drop = 0
 
     for it in range(config.max_iter):
@@ -484,7 +461,6 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
         if it - last_drop > STALL_SWEEPS:
             stop_reason = "stalled"
             break
-        lam = config.lam_at(it)
         rec = None if trace is None else {"iteration": it, "lam": lam}
 
         if rec is not None:
@@ -562,9 +538,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
             stop_reason = "converged"
             break
         prev_obj = obj
-        if lam != window_lam:
-            window_lam, best, last_drop = lam, obj, it
-        elif obj < best:
+        if obj < best:
             if best - obj > config.rel_tol * best:
                 last_drop = it
             best = obj
@@ -673,15 +647,11 @@ def save_model(model: DecoupledModel, path) -> None:
             "degree": cfg.degree,
             "df": cfg.df,
             "lam": cfg.lam,
-            "lambda_schedule": cfg.lambda_schedule,
-            "lambda_factor": cfg.lambda_factor,
-            "lambda_cap": cfg.lambda_cap,
             "representation": cfg.representation.value,
             "constraint": cfg.constraint.value,
             "max_iter": cfg.max_iter,
             "rel_tol": cfg.rel_tol,
             "seed": cfg.seed,
-            "init_scale": cfg.init_scale,
         },
     }
     with open(path, "w") as fh:
@@ -689,7 +659,20 @@ def save_model(model: DecoupledModel, path) -> None:
         fh.write("\n")
 
 
+def _finite_array(path, field: str, values) -> np.ndarray:
+    """values as a float array; a NaN or infinite entry rejects the file."""
+    arr = np.array(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"malformed model file {path}: non-finite value in {field}.")
+    return arr
+
+
 def load_model(path) -> DecoupledModel:
+    """Read a save_model file back, rejecting non-finite or mismatched factors.
+
+    Keys the reader does not use (the dims block, config keys written by
+    older versions) are ignored.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -702,35 +685,36 @@ def load_model(path) -> DecoupledModel:
             degree=cfg_raw["degree"],
             df=cfg_raw["df"],
             lam=cfg_raw["lam"],
-            lambda_schedule=cfg_raw["lambda_schedule"],
-            lambda_factor=cfg_raw["lambda_factor"],
-            lambda_cap=cfg_raw["lambda_cap"],
             representation=Representation(cfg_raw["representation"]),
             constraint=Constraint(cfg_raw["constraint"]),
             max_iter=cfg_raw["max_iter"],
             rel_tol=cfg_raw["rel_tol"],
             seed=cfg_raw["seed"],
-            init_scale=cfg_raw["init_scale"],
         )
+        W1 = _finite_array(path, "w1", payload["w1"])
+        W0 = _finite_array(path, "w0", payload["w0"])
         branches = tuple(
             SplineFunction(
                 basis=SplineBasis(
-                    degree=b["degree"], df=b["df"], knots=np.array(b["knots"])
+                    degree=b["degree"],
+                    df=b["df"],
+                    knots=_finite_array(path, f"branch {j} knots", b["knots"]),
                 ),
-                coeffs=np.array(b["coeffs"]),
+                coeffs=_finite_array(path, f"branch {j} coeffs", b["coeffs"]),
                 representation=Representation(b["representation"]),
             )
-            for b in payload["branches"]
-        )
-        model = DecoupledModel(
-            W1=np.array(payload["w1"], dtype=float),
-            W0=np.array(payload["w0"], dtype=float),
-            branches=branches,
-            config=config,
+            for j, b in enumerate(payload["branches"], start=1)
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: missing field {exc}.") from exc
-    return model
+    if W1.ndim != 2 or W0.ndim != 2:
+        raise ValueError(f"malformed model file {path}: w1 and w0 must be matrices.")
+    if not W1.shape[1] == W0.shape[0] == len(branches):
+        raise ValueError(
+            f"malformed model file {path}: w1 has {W1.shape[1]} columns and w0 has "
+            f"{W0.shape[0]} rows for {len(branches)} branches; all three must agree."
+        )
+    return DecoupledModel(W1=W1, W0=W0, branches=branches, config=config)
 
 
 def write_diagnostics(state: FitState, path) -> None:

@@ -54,6 +54,9 @@ __all__ = [
     "median_table",
 ]
 
+# both studies draw their samples from the box (LO, HI)^m
+LO, HI = -1.5, 1.5
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -87,8 +90,6 @@ class ExperimentSpec:
     dfs: tuple
     runs: int = 30
     samples: int = 100
-    lo: float = -1.5
-    hi: float = 1.5
     # a low coupling weight lets the value fit refine the shared factors
     # without the min-norm R step biasing wide-W1 systems; 800 sweeps with a
     # tight relative tolerance runs every grid cell to a fixed point
@@ -256,7 +257,7 @@ def _run_cell(sys_factory, spec: ExperimentSpec, config_factory, records: list):
     for run in range(spec.runs):
         seed = spec.base_seed + run
         sys = sys_factory(seed)
-        sample_set = sample_for_system(sys, spec.samples, spec.lo, spec.hi, seed)
+        sample_set = sample_for_system(sys, spec.samples, LO, HI, seed)
         for config in config_factory(seed):
             try:
                 rec = _fit_once(sys, sample_set, config)

@@ -1,3 +1,4 @@
+import json
 import re
 import shlex
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from decoupline import cli
 from decoupline.cli import main
 from decoupline.decoupling import load_model, predict
+from decoupline.experiments import median_table, monotone_counts, read_records
 from decoupline.sysgen import builtin_trig, jacobian_tensor, sample_for_system, zeroth_matrix
 from decoupline.tensor3 import read_matrix, write_matrix, write_tensor
 
@@ -173,9 +175,33 @@ def test_certify_constrained_fit_all_certified(fixture_files, capsys):
     assert all(line.endswith("CERTIFIED_INCREASING") for line in lines)
 
 
+def test_non_finite_model_exits_one(fixture_files, capsys):
+    tmp_path, paths = fixture_files
+    model_path = tmp_path / "model.json"
+    assert main(fit_args(paths, model_path)) == 0
+    payload = json.loads(model_path.read_text())
+    payload["branches"][1]["coeffs"][3] = float("nan")
+    model_path.write_text(json.dumps(payload))
+    inputs = tmp_path / "inputs.txt"
+    write_matrix(np.zeros((2, 3)), inputs)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--inputs", str(inputs)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "non-finite value in branch 2 coeffs" in out.err
+    assert main(["certify", "--model", str(model_path)]) == 1
+    assert "non-finite value in branch 2 coeffs" in capsys.readouterr().err
+
+
 def test_certify_missing_model(tmp_path, capsys):
     assert main(["certify", "--model", str(tmp_path / "none.json")]) == 1
     assert "file not found" in capsys.readouterr().err
+
+
+def summary_rows(out: str) -> list:
+    """The printed summary's data rows (those that start with a number)."""
+    rows = [line.split() for line in out.split("results.csv\n", 1)[1].splitlines()]
+    return [row for row in rows if row and row[0].isdigit()]
 
 
 def test_experiment_mono_row_count(tmp_path, capsys):
@@ -185,21 +211,37 @@ def test_experiment_mono_row_count(tmp_path, capsys):
         "--samples", "60", "--max-iter", "25", "--out-dir", str(out_dir),
     ])
     assert code == 0
-    assert "4 runs recorded" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "4 runs recorded" in out
     lines = (out_dir / "results.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 1 * 2  # header + arms * runs * dfs
     assert (out_dir / "counts.csv").exists()
+    # one row per df: degree, df, certified runs and median Error(J) per arm
+    records = read_records(out_dir / "results.csv")
+    meds = median_table(records, lambda rec: rec.error_j)
+    counts = monotone_counts(records)
+    rows = summary_rows(out)
+    assert [row[:2] for row in rows] == [["4", "8"], ["4", "12"]]
+    for _, df, unc, con, err_unc, err_con in rows:
+        df = int(df)
+        assert (int(unc), int(con)) == (counts[(False, df)], counts[(True, df)])
+        assert err_unc == f"{meds[(4, df, False)]:.4f}"
+        assert err_con == f"{meds[(4, df, True)]:.4f}"
 
 
 def test_experiment_trig_row_count(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = main([
-        "experiment", "trig", "--runs", "2", "--degrees", "2", "--dfs", "6",
+        "experiment", "trig", "--runs", "2", "--degrees", "2", "--dfs", "6,8",
         "--samples", "50", "--max-iter", "20", "--out-dir", str(out_dir),
     ])
     assert code == 0
     lines = (out_dir / "results.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 2
+    assert len(lines) == 1 + 2 * 2  # header + runs * dfs
+    # one row per df: the median worst-output poly-refit error per degree
+    meds = median_table(read_records(out_dir / "results.csv"), lambda rec: max(rec.poly_errors))
+    rows = summary_rows(capsys.readouterr().out)
+    assert rows == [["6", f"{meds[(2, 6, False)]:.3f}"], ["8", f"{meds[(2, 8, False)]:.3f}"]]
 
 
 def test_argparse_rejects_garbage():

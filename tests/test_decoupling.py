@@ -89,25 +89,11 @@ def test_config_validation_errors():
         CmtfConfig(rank=2, degree=3, df=3)
     with pytest.raises(ValueError, match="lam"):
         CmtfConfig(**good, lam=0.0)
-    with pytest.raises(ValueError, match="lambda_schedule"):
-        CmtfConfig(**good, lambda_schedule="linear")
     with pytest.raises(ValueError, match="rel_tol"):
         CmtfConfig(**good, rel_tol=0.0)
     with pytest.raises(ValueError, match="DERIVATIVE"):
         CmtfConfig(**good, constraint=Constraint.MONOTONE_INCREASING,
                    representation=Representation.FUNCTION)
-
-
-def test_lambda_schedules():
-    fixed = CmtfConfig(rank=1, degree=1, df=3, lam=0.2)
-    assert fixed.lam_at(0) == fixed.lam_at(57) == 0.2
-    geo = CmtfConfig(rank=1, degree=1, df=3, lam=0.01,
-                     lambda_schedule="geometric", lambda_factor=2.0, lambda_cap=0.05)
-    assert geo.lam_at(0) == 0.01
-    assert geo.lam_at(1) == 0.02
-    assert geo.lam_at(2) == 0.04
-    assert geo.lam_at(3) == 0.05  # capped
-    assert geo.lam_at(10) == 0.05
 
 
 # objective
@@ -517,7 +503,7 @@ def test_single_sweep_w1_matches_replayed_update():
     from decoupline.tensor3 import khatri_rao, unfold
 
     rng2 = np.random.default_rng(123)
-    W0 = rng2.standard_normal((2, 2)) * cfg.init_scale
+    W0 = rng2.standard_normal((2, 2))
     G = rng2.standard_normal((s, 2))
     R = rng2.standard_normal((s, 2))
     expect = stacked_lstsq(khatri_rao(G, W0.T), unfold(J, 1).T, R, F.T, 0.1).solution.T
@@ -695,17 +681,6 @@ def test_stalled_fit_equals_the_budget_run_of_the_same_length(stalled_trig_fit):
     for a, b in zip(model_a.branches, model_b.branches):
         assert np.array_equal(a.basis.knots, b.basis.knots)
         assert np.array_equal(a.coeffs, b.coeffs)
-
-
-def test_geometric_schedule_does_not_stall_while_lam_grows():
-    # the fixed-schedule fit of this config stalls (see above); every lam
-    # change restarts the window, so the growing schedule runs to budget
-    _, _, state = _trig_fit(lambda_schedule="geometric", lambda_factor=1.001, max_iter=300)
-    assert (state.iterations, state.stop_reason) == (300, "budget")
-    cfg, _, state = _trig_fit(lambda_schedule="geometric", lambda_factor=1.001, lambda_cap=0.0105)
-    capped = next(it for it in range(cfg.max_iter) if cfg.lam_at(it) == cfg.lam_at(it + 1))
-    assert state.stop_reason == "stalled"
-    assert state.iterations > capped + STALL_SWEEPS
 
 
 def test_one_step_test_still_stops_first(quadratic_system):
@@ -908,6 +883,69 @@ def test_load_model_malformed(tmp_path):
         load_model(p)
     p.write_text(json.dumps({"W1": [[1.0]]}))
     with pytest.raises(ValueError, match="malformed model file"):
+        load_model(p)
+
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    J, F, x = quadratic_fixture(seed=23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, _ = decouple(J, F, x, CmtfConfig(rank=2, degree=2, df=5, max_iter=5))
+    p = tmp_path / "model.json"
+    save_model(model, p)
+    return model, p
+
+
+def test_model_file_with_the_removed_config_keys_still_loads(saved_model):
+    # files written before the geometric lambda schedule and init_scale were
+    # removed carry their keys in config; the reader ignores them
+    model, p = saved_model
+    payload = json.loads(p.read_text())
+    payload["config"].update(
+        lambda_schedule="fixed", lambda_factor=1.0, lambda_cap=None, init_scale=1.0
+    )
+    p.write_text(json.dumps(payload))
+    X = np.random.default_rng(0).uniform(-1.5, 1.5, (2, 40))
+    assert np.array_equal(predict(load_model(p), X), predict(model, X))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "where, field",
+    [
+        (lambda d: d["w1"][1], "w1"),
+        (lambda d: d["w0"][0], "w0"),
+        (lambda d: d["branches"][1]["knots"], "branch 2 knots"),
+        (lambda d: d["branches"][0]["coeffs"], "branch 1 coeffs"),
+    ],
+    ids=["w1", "w0", "knots", "coeffs"],
+)
+def test_load_model_rejects_non_finite_entries(saved_model, where, field, bad):
+    _, p = saved_model
+    payload = json.loads(p.read_text())
+    where(payload)[-1] = bad
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"non-finite value in {field}"):
+        load_model(p)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda d: d["branches"].pop(),
+        lambda d: d["w0"].pop(),
+        lambda d: [row.append(0.5) for row in d["w1"]],
+    ],
+    ids=["branch dropped", "w0 row dropped", "w1 column added"],
+)
+def test_load_model_rejects_mismatched_rank(saved_model, cut):
+    _, p = saved_model
+    payload = json.loads(p.read_text())
+    cut(payload)
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="all three must agree"):
         load_model(p)
 
 
