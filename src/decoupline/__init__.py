@@ -30,8 +30,7 @@ from .experiments import (
     error_tensor,
     mono_spec,
     output_error,
-    run_mono_experiment,
-    run_trig_experiment,
+    run_experiment,
     trig_spec,
 )
 from .sysgen import (
@@ -68,8 +67,7 @@ __all__ = [
     "error_tensor",
     "mono_spec",
     "output_error",
-    "run_mono_experiment",
-    "run_trig_experiment",
+    "run_experiment",
     "trig_spec",
     "SampleSet",
     "SyntheticSystem",

@@ -68,6 +68,10 @@ class SplineBasis:
             raise ValueError(
                 f"knot vector needs df + degree + 1 = {df + d + 1} entries, got {t.size}."
             )
+        # every comparison with NaN is false, so a NaN knot would pass the
+        # ordering checks below and only fail later, in span lookup
+        if not np.all(np.isfinite(t)):
+            raise ValueError("knots must be finite.")
         if np.any(np.diff(t) < 0):
             raise ValueError("knots must be nondecreasing.")
         if t[0] >= t[-1]:

@@ -8,7 +8,6 @@ saved model), predict (evaluate a saved model on new inputs).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .bspline import Representation
 from .decoupling import (
     STALL_SWEEPS,
-    Certification,
     CmtfConfig,
     Constraint,
     certify_monotone,
@@ -30,8 +28,7 @@ from .experiments import (
     median_table,
     mono_spec,
     monotone_counts,
-    run_mono_experiment,
-    run_trig_experiment,
+    run_experiment,
     trig_spec,
 )
 from .tensor3 import read_matrix, read_tensor, write_matrix
@@ -92,11 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--dfs", type=_int_list, help="comma-separated grid override")
     p_exp.add_argument("--max-iter", type=int, help="sweep budget override")
     p_exp.add_argument("--rel-tol", type=float, help="stopping tolerance override")
-    p_exp.add_argument(
-        "--out-dir",
-        default=os.environ.get("DECOUPLINE_OUT", "out"),
-        help="output directory (env DECOUPLINE_OUT overrides the default)",
-    )
+    p_exp.add_argument("--out-dir", default="out", help="output directory")
     p_exp.add_argument("--plots", action="store_true", help="emit SVG boxplots")
 
     p_cert = sub.add_parser("certify", help="print per-branch certificates")
@@ -150,8 +143,7 @@ def _cmd_experiment(args) -> int:
         if getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
     spec = maker(**overrides)
-    runner = run_trig_experiment if args.kind == "trig" else run_mono_experiment
-    records = runner(spec)
+    records = run_experiment(spec)
     print(f"{len(records)} runs recorded in {spec.out_dir}/results.csv")
     print("\n".join(_summary_lines(spec, records)))
     return 0
@@ -191,13 +183,7 @@ def _summary_lines(spec, records) -> list:
 def _cmd_certify(args) -> int:
     model = load_model(args.model)
     for j, branch in enumerate(model.branches, start=1):
-        verdict = certify_monotone(branch)
-        label = (
-            "CERTIFIED_INCREASING"
-            if verdict is Certification.CERTIFIED_INCREASING
-            else "NOT_CERTIFIED"
-        )
-        print(f"branch {j}: {label}")
+        print(f"branch {j}: {certify_monotone(branch).name}")
     return 0
 
 

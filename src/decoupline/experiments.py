@@ -1,19 +1,21 @@
-"""Sweep runners, error metrics, and result persistence.
+"""Study runner, error metrics, and result persistence.
 
-Two canned sweeps: a trigonometric 2-in 2-out system fitted over a grid of
-spline degrees and degrees of freedom, and a monotone 3-in 3-out system
-fitted with and without the monotonicity constraint. Each run records the
-tensor reconstruction error, relative output errors (from the spline
-branches and from a degree-10 polynomial refit of them), per-branch
-monotonicity certificates, and iteration counts, all reproducible from one
-base seed.
+Two canned studies, both run by run_experiment: a trigonometric 2-in 2-out
+system fitted over a grid of spline degrees and degrees of freedom, and a
+monotone 3-in 3-out system fitted with and without the monotonicity
+constraint. _STUDIES holds the three facts that set them apart: the system
+drawn for a seed, the branch representation, and the constraint arms. Each
+run records the tensor reconstruction error, relative output errors (from
+the spline branches and from a degree-10 polynomial refit of them),
+per-branch monotonicity certificates, and iteration counts, all
+reproducible from one base seed.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,6 @@ from .decoupling import (
     Constraint,
     certify_monotone,
     decouple,
-    predict,
 )
 from .bspline import Representation
 from .sysgen import (
@@ -45,8 +46,7 @@ __all__ = [
     "error_tensor",
     "output_error",
     "poly_refit",
-    "run_trig_experiment",
-    "run_mono_experiment",
+    "run_experiment",
     "write_records",
     "read_records",
     "monotone_counts",
@@ -57,6 +57,17 @@ __all__ = [
 # both studies draw their samples from the box (LO, HI)^m
 LO, HI = -1.5, 1.5
 
+# kind -> (system for a seed, branch representation, constraint arms); every
+# arm is fitted on the same system and samples
+_STUDIES = {
+    "trig": (lambda seed: builtin_trig(), Representation.FUNCTION, (Constraint.NONE,)),
+    "mono": (
+        builtin_mono,
+        Representation.DERIVATIVE,
+        (Constraint.NONE, Constraint.MONOTONE_INCREASING),
+    ),
+}
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -64,8 +75,7 @@ class RunRecord:
 
     errors / poly_errors hold the per-output relative errors (percent) of
     the spline model and of its degree-10 polynomial refit; monotone holds
-    one certificate flag per branch. wall_ms is informational only and is
-    not persisted (results files must be byte-reproducible).
+    one certificate flag per branch.
     """
 
     run_index: int
@@ -78,7 +88,6 @@ class RunRecord:
     poly_errors: tuple
     monotone: tuple
     iterations: int
-    wall_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,9 @@ class ExperimentSpec:
     rel_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.kind not in ("trig", "mono"):
-            raise ValueError(f"kind must be 'trig' or 'mono', got {self.kind!r}.")
+        if self.kind not in _STUDIES:
+            kinds = " or ".join(map(repr, _STUDIES))
+            raise ValueError(f"kind must be {kinds}, got {self.kind!r}.")
         if not self.degrees or not self.dfs:
             raise ValueError("degree and df grids must be nonempty.")
         if self.runs < 1:
@@ -194,24 +204,21 @@ def _refit_row(u_row, vals) -> np.ndarray:
     return poly_refit(u_row, vals)(u_row)
 
 
-def _fit_once(sys: SyntheticSystem, sample_set, config: CmtfConfig) -> RunRecord:
+def _fit_once(sys: SyntheticSystem, sample_set, config: CmtfConfig) -> dict:
+    """The metric fields of a RunRecord for one fit."""
     x = sample_set.X
     jt = jacobian_tensor(sys, sample_set)
     f_mat = zeroth_matrix(sys, sample_set)
-    t0 = time.perf_counter()
     model, state = decouple(jt, f_mat, x, config)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
 
     recon = np.einsum("ir,jr,kr->ijk", state.W1, state.W0.T, state.G)
     err_j = error_tensor(jt, recon)
-
-    pred = predict(model, x)
-    e_spline = output_error(f_mat, pred)
 
     u = model.W0 @ x
     branch_vals = np.stack(
         [branch.value(u[i]) for i, branch in enumerate(model.branches)]
     )
+    e_spline = output_error(f_mat, model.W1 @ branch_vals)
     poly_vals = np.stack(
         [_refit_row(u[i], branch_vals[i]) for i in range(len(model.branches))]
     )
@@ -221,103 +228,59 @@ def _fit_once(sys: SyntheticSystem, sample_set, config: CmtfConfig) -> RunRecord
         certify_monotone(b) is Certification.CERTIFIED_INCREASING
         for b in model.branches
     )
-    return RunRecord(
-        run_index=0,
-        seed=config.seed,
-        degree=config.degree,
-        df=config.df,
-        constrained=config.constraint is Constraint.MONOTONE_INCREASING,
+    return dict(
         error_j=float(err_j),
         errors=tuple(float(v) for v in e_spline),
         poly_errors=tuple(float(v) for v in e_poly),
         monotone=mono,
         iterations=state.iterations,
-        wall_ms=wall_ms,
     )
 
 
-def _failed_record(config: CmtfConfig, n_out: int, n_branch: int) -> RunRecord:
-    return RunRecord(
-        run_index=0,
-        seed=config.seed,
-        degree=config.degree,
-        df=config.df,
-        constrained=config.constraint is Constraint.MONOTONE_INCREASING,
+def _failed_fit(n_out: int, n_branch: int) -> dict:
+    return dict(
         error_j=float("nan"),
         errors=(float("nan"),) * n_out,
         poly_errors=(float("nan"),) * n_out,
         monotone=(False,) * n_branch,
         iterations=0,
-        wall_ms=0.0,
     )
 
 
-def _run_cell(sys_factory, spec: ExperimentSpec, config_factory, records: list):
-    """Shared sweep loop: seeds, sampling, fit, failure capture."""
-    for run in range(spec.runs):
+def run_experiment(spec: ExperimentSpec) -> list:
+    """Fit spec's study over its (degree, df) grid, one record per run and arm.
+
+    Run r draws its system and samples from seed base_seed + r, and every
+    constraint arm of the study is fitted on them. Records come out in
+    (degree, df, run, arm) order. A fit that raises is recorded with nan
+    metrics and a warning, and the sweep goes on. With spec.out_dir set,
+    results.csv (and counts.csv for mono, SVG plots on request) go there.
+    """
+    system_for, representation, arms = _STUDIES[spec.kind]
+    records: list = []
+    for degree, df, run in product(spec.degrees, spec.dfs, range(spec.runs)):
         seed = spec.base_seed + run
-        sys = sys_factory(seed)
+        sys = system_for(seed)
         sample_set = sample_for_system(sys, spec.samples, LO, HI, seed)
-        for config in config_factory(seed):
+        for constraint in arms:
+            config = CmtfConfig(
+                rank=3,
+                degree=degree,
+                df=df,
+                lam=spec.lam,
+                representation=representation,
+                constraint=constraint,
+                max_iter=spec.max_iter,
+                rel_tol=spec.rel_tol,
+                seed=seed,
+            )
             try:
-                rec = _fit_once(sys, sample_set, config)
+                metrics = _fit_once(sys, sample_set, config)
             except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
                 warnings.warn(f"run {run} (seed {seed}) failed: {exc}", stacklevel=2)
-                rec = _failed_record(config, sys.dims[0], sys.dims[2])
-            records.append(replace(rec, run_index=run))
-
-
-def run_trig_experiment(spec: ExperimentSpec) -> list:
-    """Unconstrained sweep on the trigonometric system over (degree, df)."""
-    if spec.kind != "trig":
-        raise ValueError(f"spec kind must be 'trig', got {spec.kind!r}.")
-    records: list = []
-    for degree in spec.degrees:
-        for df in spec.dfs:
-            def configs(seed, degree=degree, df=df):
-                return (
-                    CmtfConfig(
-                        rank=3,
-                        degree=degree,
-                        df=df,
-                        lam=spec.lam,
-                        representation=Representation.FUNCTION,
-                        constraint=Constraint.NONE,
-                        max_iter=spec.max_iter,
-                        rel_tol=spec.rel_tol,
-                        seed=seed,
-                    ),
-                )
-
-            _run_cell(lambda seed: builtin_trig(), spec, configs, records)
-    _write_outputs(spec, records)
-    return records
-
-
-def run_mono_experiment(spec: ExperimentSpec) -> list:
-    """Paired constrained/unconstrained sweep on the monotone system."""
-    if spec.kind != "mono":
-        raise ValueError(f"spec kind must be 'mono', got {spec.kind!r}.")
-    records: list = []
-    for degree in spec.degrees:
-        for df in spec.dfs:
-            def configs(seed, degree=degree, df=df):
-                shared = dict(
-                    rank=3,
-                    degree=degree,
-                    df=df,
-                    lam=spec.lam,
-                    representation=Representation.DERIVATIVE,
-                    max_iter=spec.max_iter,
-                    rel_tol=spec.rel_tol,
-                    seed=seed,
-                )
-                return (
-                    CmtfConfig(constraint=Constraint.NONE, **shared),
-                    CmtfConfig(constraint=Constraint.MONOTONE_INCREASING, **shared),
-                )
-
-            _run_cell(builtin_mono, spec, configs, records)
+                metrics = _failed_fit(sys.dims[0], sys.dims[2])
+            constrained = constraint is Constraint.MONOTONE_INCREASING
+            records.append(RunRecord(run, seed, degree, df, constrained, **metrics))
     _write_outputs(spec, records)
     return records
 
@@ -344,7 +307,7 @@ def write_records(records: list, path) -> None:
 
     Column counts adapt to the system: e<i>/poly_e<i> per output,
     mono_<j> per branch. Floats go through repr so parsing them back is
-    exact; wall clock time is deliberately left out.
+    exact.
     """
     if not records:
         raise ValueError("no records to write.")
@@ -375,7 +338,7 @@ def write_records(records: list, path) -> None:
 
 
 def read_records(path) -> list:
-    """Parse a results file back into RunRecords (wall_ms comes back 0)."""
+    """Parse a results file back into RunRecords."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if len(lines) < 2:

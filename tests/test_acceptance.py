@@ -32,8 +32,7 @@ from decoupline.decoupling import (
 from decoupline.experiments import (
     mono_spec,
     monotone_counts,
-    run_mono_experiment,
-    run_trig_experiment,
+    run_experiment,
     trig_spec,
 )
 from decoupline.solvers import nnls
@@ -71,7 +70,7 @@ def trig_grid():
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_trig_experiment(spec)
+        records = run_experiment(spec)
     return spec, records, time.time() - t0
 
 
@@ -99,7 +98,7 @@ def test_criterion_2_degree_ordering():
     spec = trig_spec(runs=RUNS, degrees=(1, 2, 3), dfs=(8,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_trig_experiment(spec)
+        records = run_experiment(spec)
     meds = {d: _cell_medians(records, d, 8) for d in (1, 2, 3)}
     ok = True
     for variant in (0, 1):  # spline model errors, poly refit errors
@@ -121,7 +120,7 @@ def mono_records():
     spec = mono_spec(runs=RUNS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_mono_experiment(spec)
+        records = run_experiment(spec)
     return spec, records
 
 

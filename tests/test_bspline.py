@@ -106,6 +106,11 @@ def test_basis_validation():
         SplineBasis(degree=2, df=4, knots=[0, 0, 0.5, 1, 2, 2, 2])
     with pytest.raises(ValueError, match="entries"):
         SplineBasis(degree=2, df=4, knots=[0, 0, 0, 1, 1, 1])
+    # NaN defeats every ordering check; infinite boundary knots pass them
+    for knots in ([0, 0, np.nan, 1, 1], [0, 0, 0.5, np.inf, np.inf],
+                  [-np.inf, -np.inf, 0, 1, 1]):
+        with pytest.raises(ValueError, match="finite"):
+            SplineBasis(degree=1, df=3, knots=knots)
 
 
 # design matrix values

@@ -2,6 +2,7 @@ import json
 import re
 import shlex
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ def test_experiment_trig_row_count(tmp_path, capsys):
     meds = median_table(read_records(out_dir / "results.csv"), lambda rec: max(rec.poly_errors))
     rows = summary_rows(capsys.readouterr().out)
     assert rows == [["6", f"{meds[(2, 6, False)]:.3f}"], ["8", f"{meds[(2, 8, False)]:.3f}"]]
+
+
+@pytest.mark.parametrize("kind, n_out", [("mono", 3), ("trig", 2)])
+def test_experiment_plots_write_one_svg_per_metric(tmp_path, capsys, kind, n_out):
+    code = main([
+        "experiment", kind, "--runs", "1", "--dfs", "8", "--samples", "60",
+        "--max-iter", "10", "--plots", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    names = ["error_j"] + [f"{p}e{i}" for p in ("", "poly_") for i in range(1, n_out + 1)]
+    assert sorted(path.stem for path in tmp_path.glob("*.svg")) == sorted(names)
+    for name in names:
+        root = ElementTree.parse(tmp_path / f"{name}.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_argparse_rejects_garbage():

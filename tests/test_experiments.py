@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from decoupline.experiments import (
     output_error,
     poly_refit,
     read_records,
-    run_mono_experiment,
-    run_trig_experiment,
+    run_experiment,
     trig_spec,
     write_counts,
     write_records,
@@ -159,10 +157,6 @@ def test_spec_factories():
     m = mono_spec(runs=5)
     assert m.kind == "mono" and m.degrees == (4,) and m.runs == 5
     assert m.dfs == tuple(range(8, 21, 2))
-    with pytest.raises(ValueError, match="kind"):
-        run_trig_experiment(mono_spec())
-    with pytest.raises(ValueError, match="kind"):
-        run_mono_experiment(trig_spec())
 
 
 # persistence
@@ -178,7 +172,7 @@ def test_records_round_trip(tmp_path):
     path = tmp_path / "results.csv"
     write_records(records, path)
     back = read_records(path)
-    assert [replace(r, wall_ms=0.0) for r in records] == back
+    assert records == back
 
 
 def test_records_header_and_columns(tmp_path):
@@ -243,7 +237,7 @@ def test_trig_runner_smoke(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_trig_experiment(spec)
+        records = run_experiment(spec)
     assert len(records) == 2
     assert [r.run_index for r in records] == [0, 1]
     assert all(not r.constrained for r in records)
@@ -252,14 +246,14 @@ def test_trig_runner_smoke(tmp_path):
     assert all(r.iterations > 0 for r in records)
     assert (tmp_path / "results.csv").exists()
     back = read_records(tmp_path / "results.csv")
-    assert [replace(r, wall_ms=0.0) for r in records] == back
+    assert records == back
 
 
 def test_mono_runner_smoke(tmp_path):
     spec = mono_spec(dfs=(8,), runs=2, samples=60, max_iter=20, out_dir=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_mono_experiment(spec)
+        records = run_experiment(spec)
     assert len(records) == 4  # two runs, two constraint arms each
     assert [r.constrained for r in records] == [False, True, False, True]
     # paired arms share the seed, so the system and samples match
@@ -281,7 +275,7 @@ def test_trig_runner_is_deterministic(tmp_path):
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_trig_experiment(spec)
+            run_experiment(spec)
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
@@ -289,7 +283,7 @@ def test_failed_run_is_recorded_not_fatal(tmp_path):
     # 20 samples cannot support df=28: the fit raises, the sweep records nan
     spec = trig_spec(degrees=(3,), dfs=(28,), runs=1, samples=20, out_dir=tmp_path)
     with pytest.warns(UserWarning, match="failed"):
-        records = run_trig_experiment(spec)
+        records = run_experiment(spec)
     assert len(records) == 1
     assert math.isnan(records[0].error_j)
     assert all(math.isnan(v) for v in records[0].errors)
