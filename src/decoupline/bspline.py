@@ -236,13 +236,68 @@ def _derivative_window(t: np.ndarray, degree: int, spans: np.ndarray, lower: np.
     is the degree d-1 level from _local_basis, and the result is level-major
     like it.
     """
-    gaps = t[:, degree:] - t[:, : t.shape[1] - degree]  # t_{l+d} - t_l for l = 0..df
-    w = np.where(gaps > 0, degree / np.where(gaps > 0, gaps, 1.0), 0.0)
+    w = _derivative_weights(t, degree)
     cols = spans - degree + np.arange(degree + 2).reshape((-1,) + (1,) * spans.ndim)
     w = w[np.arange(t.shape[0])[:, None], cols]
     padded = np.zeros((degree + 2,) + lower.shape[1:])
     padded[1:-1] = lower
     return padded[:-1] * w[:-1] - padded[1:] * w[1:]
+
+
+def _derivative_weights(t: np.ndarray, degree: int) -> np.ndarray:
+    """w_l = d / (t_{l+d} - t_l) for l = 0..df on each knot row, 0 on an empty span.
+
+    B'_l = w_l B_{l,d-1} - w_{l+1} B_{l+1,d-1}, so these weights map the
+    coefficients of a degree-d spline to those of its derivative.
+    """
+    gaps = t[:, degree:] - t[:, : t.shape[1] - degree]
+    return np.where(gaps > 0, degree / np.where(gaps > 0, gaps, 1.0), 0.0)
+
+
+def _window_gram(win: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+    """Gram matrices X^T X of row-wise S x n design matrices X held as windows.
+
+    win is level-major span-local values, (width, rows, S), and first the
+    basis index of each point's first window function, (rows, S); row i's
+    X has win[a, i, k] in column first[i, k] + a of its row k. Returns
+    (rows, n, n). Each window pair (a, b >= a) adds its products into the
+    upper triangle with one bincount, so no S-sized temporary is larger
+    than one product of two window levels.
+    """
+    rows, width = win.shape[1], win.shape[0]
+    # flat index of entry (i, l, l + k) of the (rows, n, n) result
+    base = np.arange(rows)[:, None] * (n * n) + first * (n + 1)
+    upper = np.zeros(rows * n * n)
+    for a in range(width):
+        at = (base + a * (n + 1)).ravel()
+        for b in range(a, width):
+            upper += np.bincount(at + (b - a), weights=(win[a] * win[b]).ravel(), minlength=rows * n * n)
+    upper = upper.reshape(rows, n, n)
+    gram = upper + np.swapaxes(upper, 1, 2)
+    diag = np.arange(n)
+    gram[:, diag, diag] = upper[:, diag, diag]
+    return gram
+
+
+def _window_rhs(win: np.ndarray, first: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """X^T y for the windowed design matrices of _window_gram; y is (rows, S)."""
+    rows = win.shape[1]
+    at = (np.arange(rows)[:, None] * n + first).ravel()
+    out = np.zeros(rows * n)
+    for a in range(win.shape[0]):
+        out += np.bincount(at + a, weights=(win[a] * y).ravel(), minlength=rows * n)
+    return out.reshape(rows, n)
+
+
+def _window_values(win: np.ndarray, first: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """X c for the windowed design matrices of _window_gram; coef is (rows, n)."""
+    rows, n = coef.shape
+    at = np.arange(rows)[:, None] * n + first
+    flat = coef.ravel()
+    out = win[0] * np.take(flat, at)
+    for a in range(1, win.shape[0]):
+        out += win[a] * np.take(flat, at + a)
+    return out
 
 
 def _scatter(out: np.ndarray, window: np.ndarray, spans: np.ndarray, degree: int) -> np.ndarray:

@@ -25,9 +25,14 @@ from .bspline import (
     SplineBasis,
     SplineFunction,
     _fill_pair,
+    _derivative_weights,
     _find_spans,
+    _local_basis,
     _pair_windows,
     _sorted_knots,
+    _window_gram,
+    _window_rhs,
+    _window_values,
 )
 from .solvers import RANK_RCOND, lstsq, nnls, stacked_lstsq
 from .tensor3 import Tensor3, frob_norm_sq, khatri_rao, unfold
@@ -160,11 +165,14 @@ class DecoupledModel:
 class ProjectionResult:
     """Spline-projected G and R plus what produced them.
 
-    coeffs[j] is the df+1 coefficient vector of branch j, or None when the
-    fallback replaced that branch this sweep; knots[j] is its knot vector
-    and bases[j] its SplineBasis, built from knots and degree (the basis
-    degree, one less than the branch degree under DERIVATIVE) when first
-    read.
+    coeffs[j] is the df+1 coefficient vector [c0, c1..df] of branch j, or
+    None when the fallback replaced that branch this sweep. A FUNCTION
+    branch solved from its normal equations has c0 = 0 (the spline block
+    carries the constant); one that took the dense lstsq path may carry
+    part of its constant in c0, and a collapsed branch has only c0.
+    knots[j] is its knot vector and bases[j] its SplineBasis, built from
+    knots and degree (the basis degree, one less than the branch degree
+    under DERIVATIVE) when first read.
     """
 
     G: np.ndarray
@@ -276,6 +284,70 @@ def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
     return np.concatenate([[c0], c_plus])
 
 
+# Largest kappa(A) a FUNCTION branch may have, estimated from its Cholesky
+# pivots, and still be solved from its normal equations: those square
+# kappa, so at this bound they keep about eight of the sixteen digits. A
+# branch above it (coincident knots leaving a basis function with no
+# samples, say) is solved densely by lstsq instead.
+_NORMAL_KAPPA_MAX = 1e4
+
+
+def _cholesky_or_nan(normal: np.ndarray) -> np.ndarray:
+    """Batched Cholesky factors; a matrix that is not positive definite gets NaNs."""
+    try:
+        return np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        if len(normal) == 1:
+            return np.full_like(normal, np.nan)
+        return np.concatenate([_cholesky_or_nan(m[None]) for m in normal])
+
+
+def _normal_projection(g, r, t, degree, spans, u, lam):
+    """FUNCTION-representation fit of rows of (g, r) with c0 = 0, from normal equations.
+
+    Row i is one branch: samples g[i] of g' and r[i] of g at the points
+    u[i], knot vector t[i] and its spans. With A = [B; sqrt(lam) Btil] the
+    stacked design of B = derivative design matrix and Btil = design
+    matrix, the normal matrix is B^T B + lam Btil^T Btil. Btil^T Btil is
+    the banded Gram of the degree-d windows; B = D W, with D the degree d-1
+    design matrix and W the (df+1) x df knot-difference map of
+    _derivative_weights, so B^T B = W^T (D^T D) W. Neither B nor Btil is
+    formed. One batched Cholesky solves every row.
+
+    Returns (solved, c, g_fit, r_fit): c[i] the df spline coefficients,
+    g_fit[i] and r_fit[i] the fitted samples. solved[i] is False where the
+    normal matrix is not positive definite or its pivots put kappa(A) above
+    _NORMAL_KAPPA_MAX; such rows' other outputs are meaningless.
+    """
+    rows, df = t.shape[0], t.shape[1] - degree - 1
+    lower, vals = _local_basis(t, degree, spans, u, below=True)
+    first = spans - degree
+    # the degree d-1 window of the same span starts one basis function later
+    first_lower = first + 1
+    w = _derivative_weights(t, degree)
+    diff = np.zeros((rows, df + 1, df))
+    col = np.arange(df)
+    diff[:, col, col] = w[:, :df]
+    diff[:, col + 1, col] = -w[:, 1:]
+    diff_t = np.swapaxes(diff, 1, 2)
+    normal = diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
+    normal += lam * _window_gram(vals, first, df)
+    rhs = diff_t @ _window_rhs(lower, first_lower, g, df + 1)[..., None]
+    rhs += lam * _window_rhs(vals, first, r, df)[..., None]
+    chol = _cholesky_or_nan(normal)
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    # a NaN pivot fails the comparison too
+    solved = pivots.max(axis=1) <= _NORMAL_KAPPA_MAX * pivots.min(axis=1)
+    c = np.zeros((rows, df, 1))
+    if solved.any():
+        lo = chol[solved]
+        c[solved] = np.linalg.solve(np.swapaxes(lo, 1, 2), np.linalg.solve(lo, rhs[solved]))
+    c = c[..., 0]
+    g_fit = _window_values(lower, first_lower, (diff @ c[..., None])[..., 0])
+    r_fit = _window_values(vals, first, c)
+    return solved, c, g_fit, r_fit
+
+
 def bspline_projection(
     G,
     R,
@@ -303,8 +375,16 @@ def bspline_projection(
     this only saves solves; the unconstrained arm ignores warm.
 
     The branches share one sort of x_samples, one quantile call, one span
-    search per row and one basis recursion; each branch's blocks are then
-    written into one stacked system [B; sqrt(lam) Btil] and solved alone.
+    search per row and one basis recursion. Under FUNCTION with no
+    constraint and lam > 0 the free constant is dropped (c0 = 0): the basis
+    sums to one, so that column only repeated the spline block's constant
+    and made the stacked system rank-deficient. Every branch is then solved
+    at once from its banded normal equations (see _normal_projection). A
+    branch whose normal matrix is not positive definite or whose estimated
+    kappa exceeds _NORMAL_KAPPA_MAX, every branch at lam = 0, and every
+    DERIVATIVE or constrained branch is instead written into one stacked
+    system [B; sqrt(lam) Btil], with the constant column, and solved alone:
+    by lstsq (the min-norm solution where it is rank-deficient) or NNLS.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}.")
@@ -338,29 +418,41 @@ def bspline_projection(
         knots[live] = t
         u = x[live]
         spans = np.stack([_find_spans(k, basis_degree, p) for k, p in zip(t, u)])
-        b_win, btil_win = _pair_windows(t, basis_degree, spans, u, representation)
-        root = np.sqrt(lam)
-        # lam = 0 drops the function block, as stacked_lstsq does
-        rows = s if lam == 0 else 2 * s
-        a = np.empty((2 * s, df + 1))
-        y = np.empty(2 * s)
-        btil = np.empty((s, df + 1))
-        for i, j in enumerate(live):
-            _fill_pair(a[:s], btil, b_win[:, i], btil_win[:, i], spans[i], t[i], basis_degree, representation)
-            np.multiply(root, btil, out=a[s:])
-            y[:s] = G[:, j]
-            np.multiply(root, R[:, j], out=y[s:])
-            if constraint is Constraint.NONE:
-                c = np.linalg.lstsq(a[:rows], y[:rows], rcond=RANK_RCOND)[0]
-            else:
-                c = _nonneg_stacked(a, y, None if warm is None else warm[j])
-                if np.all(c[1:] == 0):
-                    G[:, j], R[:, j] = leaky_relu_fallback(u[i])
-                    fallback[j] = True
-                    continue
-            G[:, j] = a[:s] @ c
-            R[:, j] = btil @ c
-            coeffs[j] = c
+        dense = np.arange(live.size)
+        if representation is Representation.FUNCTION and constraint is Constraint.NONE and lam > 0:
+            solved, c, g_fit, r_fit = _normal_projection(
+                G[:, live].T, R[:, live].T, t, basis_degree, spans, u, lam
+            )
+            G[:, live[solved]] = g_fit[solved].T
+            R[:, live[solved]] = r_fit[solved].T
+            for i in np.flatnonzero(solved):
+                coeffs[live[i]] = np.concatenate([[0.0], c[i]])
+            dense = np.flatnonzero(~solved)
+        if dense.size:
+            t, spans, u = t[dense], spans[dense], u[dense]
+            b_win, btil_win = _pair_windows(t, basis_degree, spans, u, representation)
+            root = np.sqrt(lam)
+            # lam = 0 drops the function block, as stacked_lstsq does
+            rows = s if lam == 0 else 2 * s
+            a = np.empty((2 * s, df + 1))
+            y = np.empty(2 * s)
+            btil = np.empty((s, df + 1))
+            for i, j in enumerate(live[dense]):
+                _fill_pair(a[:s], btil, b_win[:, i], btil_win[:, i], spans[i], t[i], basis_degree, representation)
+                np.multiply(root, btil, out=a[s:])
+                y[:s] = G[:, j]
+                np.multiply(root, R[:, j], out=y[s:])
+                if constraint is Constraint.NONE:
+                    c = np.linalg.lstsq(a[:rows], y[:rows], rcond=RANK_RCOND)[0]
+                else:
+                    c = _nonneg_stacked(a, y, None if warm is None else warm[j])
+                    if np.all(c[1:] == 0):
+                        G[:, j], R[:, j] = leaky_relu_fallback(u[i])
+                        fallback[j] = True
+                        continue
+                G[:, j] = a[:s] @ c
+                R[:, j] = btil @ c
+                coeffs[j] = c
     return ProjectionResult(
         G=G, R=R, coeffs=tuple(coeffs), knots=knots, degree=basis_degree, fallback=tuple(fallback)
     )
@@ -388,7 +480,10 @@ STALL_SWEEPS = 100
 
 
 def _check_diverged(name: str, arr, it: int) -> None:
-    if not np.all(np.isfinite(arr)) or np.abs(arr).max() > _DIVERGENCE_CAP:
+    # one reduction: a NaN propagates through max and fails the comparison,
+    # and an infinite entry is above the cap
+    peak = np.abs(arr).max()
+    if not peak <= _DIVERGENCE_CAP:
         raise RuntimeError(
             f"fit diverged at iteration {it}: {name} is non-finite or overflowing."
         )

@@ -8,6 +8,7 @@ raveling, and every function here sticks to it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,26 @@ def write_matrix(mat: np.ndarray, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
+    """Comma-separated rows as a float matrix; blank lines are skipped.
+
+    A well-formed file is parsed by np.loadtxt in one call. Anything that
+    call rejects, and an empty file, goes through _read_matrix_lines, which
+    accepts the same files (plus what float() alone takes, such as "1_0" or
+    whitespace-only lines) and gives the error message for the others.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data; the line parser raises
+            warnings.simplefilter("ignore")
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    except (ValueError, OSError):
+        mat = None
+    if mat is not None and mat.size:
+        return mat
+    return _read_matrix_lines(path)
+
+
+def _read_matrix_lines(path) -> np.ndarray:
     rows = []
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):

@@ -11,8 +11,13 @@ from decoupline.bspline import (
     Representation,
     SplineBasis,
     SplineFunction,
+    _derivative_weights,
     _find_spans,
+    _local_basis,
     _sorted_knots,
+    _window_gram,
+    _window_rhs,
+    _window_values,
     augment,
     derivative_design_matrix,
     design_matrix,
@@ -432,3 +437,51 @@ def test_span_local_function_derivative_needs_degree_one():
     assert np.array_equal(
         SplineFunction(basis, np.ones(4), Representation.DERIVATIVE).derivative([0.3]), [1.0]
     )
+
+
+def _window_case(bases, rng):
+    """Knot rows, points, spans and both window levels for same-df bases."""
+    degree = bases[0].degree
+    t = np.stack([b.knots for b in bases])
+    u = np.stack([evaluation_points(b, rng)[:240] for b in bases])
+    spans = np.stack([_find_spans(k, degree, p) for k, p in zip(t, u)])
+    lower, vals = _local_basis(t, degree, spans, u, below=True)
+    return t, u, spans, lower, vals
+
+
+def _lower_design(spans, lower, degree, n):
+    """Dense degree d-1 design matrix of one row from its windows."""
+    out = np.zeros((spans.size, n))
+    for q in range(degree):
+        out[np.arange(spans.size), spans - degree + 1 + q] = lower[q]
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_window_products_match_the_dense_design_matrices(degree):
+    rng = np.random.default_rng(200 + degree)
+    df = degree + 5
+    # two rows in one call, so that each row's products land in its own block
+    quantile = [quantile_basis(seed=s, df=df, degree=degree)[0] for s in (degree, degree + 10)]
+    for bases in (quantile, [crowded_basis(degree)]):
+        df = bases[0].df
+        t, u, spans, lower, vals = _window_case(bases, rng)
+        y = rng.standard_normal(u.shape)
+        c = rng.standard_normal((len(bases), df))
+        w = _derivative_weights(t, degree)
+        first = spans - degree
+        got = (_window_gram(vals, first, df), _window_rhs(vals, first, y, df),
+               _window_values(vals, first, c), _window_gram(lower, first + 1, df + 1),
+               _window_rhs(lower, first + 1, y, df + 1))
+        for i, basis in enumerate(bases):
+            x = design_matrix(basis, u[i])
+            low = _lower_design(spans[i], lower[:, i], degree, df + 1)
+            want = (x.T @ x, x.T @ y[i], x @ c[i], low.T @ low, low.T @ y[i])
+            for g, v in zip(got, want):
+                assert np.allclose(g[i], v, rtol=1e-13, atol=1e-13)
+            # B = D W: the derivative design matrix from the degree d-1 one
+            diff = np.zeros((df + 1, df))
+            diff[np.arange(df), np.arange(df)] = w[i, :df]
+            diff[np.arange(df) + 1, np.arange(df)] = -w[i, 1:]
+            dx = derivative_design_matrix(basis, u[i])
+            assert np.allclose(low @ diff, dx, rtol=0, atol=1e-12 * np.abs(dx).max())

@@ -362,6 +362,37 @@ def assert_same_projection(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
+def _close(got, want, rtol=1e-10):
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def assert_same_function_projection(got, want, dense=()):
+    """FUNCTION/NONE projections against the reference, whose min-norm SVD
+    spreads the free constant over c0 and c[1:] where the normal-equation
+    solve puts c0 = 0. Since the basis sums to one, c0 + c[1:] is the
+    function either way: it, G and R are compared to 1e-10 relative, knots
+    and fallback flags exactly. Branches listed in dense take the lstsq
+    path in both and are compared exactly."""
+    assert np.array_equal(got.knots, want.knots)
+    assert got.fallback == want.fallback
+    for j, (a, b) in enumerate(zip(got.coeffs, want.coeffs, strict=True)):
+        if j in dense:
+            assert np.array_equal(a, b)
+            assert np.array_equal(got.G[:, j], want.G[:, j])
+            assert np.array_equal(got.R[:, j], want.R[:, j])
+        else:
+            assert _close(a[1:] + a[0], b[1:] + b[0])
+            assert _close(got.G[:, j], want.G[:, j])
+            assert _close(got.R[:, j], want.R[:, j])
+
+
+def assert_matches_reference(got, want, rep, constraint):
+    if rep is Representation.FUNCTION and constraint is Constraint.NONE:
+        assert_same_function_projection(got, want)
+    else:
+        assert_same_projection(got, want)
+
+
 def both_projections(*args):
     """Run the projection and the reference; also compare their warnings."""
     runs = []
@@ -390,7 +421,7 @@ def test_projection_equals_per_branch_reference(s, rep, constraint):
     R = rng.standard_normal((s, 3))
     x = rng.uniform(-2, 2, (3, s)) * [[1.0], [0.1], [3.0]]
     got, want, _ = both_projections(G, R, 10, 4, x, 0.1, rep, constraint)
-    assert_same_projection(got, want)
+    assert_matches_reference(got, want, rep, constraint)
 
 
 @pytest.mark.parametrize("rep,constraint", REP_CONSTRAINT)
@@ -401,7 +432,7 @@ def test_projection_reference_collapsed_row(rep, constraint):
     R = rng.standard_normal((s, 3))
     x = np.vstack([rng.uniform(-1, 1, s), np.full(s, 0.7), np.zeros(s)])
     got, want, _ = both_projections(G, R, 6, 4, x, 0.1, rep, constraint)
-    assert_same_projection(got, want)
+    assert_matches_reference(got, want, rep, constraint)
 
 
 @pytest.mark.parametrize("rep", [Representation.FUNCTION, Representation.DERIVATIVE])
@@ -456,7 +487,7 @@ def test_projection_reference_no_interior_knots(rep, constraint):
     df = 3 + 1 if rep is Representation.FUNCTION else 3
     got, want, _ = both_projections(G, R, df, 3, x, 0.1, rep, constraint)
     assert got.knots.shape[1] == 2 * (got.degree + 1)
-    assert_same_projection(got, want)
+    assert_matches_reference(got, want, rep, constraint)
 
 
 def test_projection_reference_lam_edges():
@@ -482,7 +513,72 @@ def test_projection_warns_once_per_crowded_branch():
                                            Constraint.NONE)
     knot_warnings = [m for m in messages if m.startswith("coincident interior knots")]
     assert len(knot_warnings) == 2
-    assert_same_projection(got, want)
+    # the crowded branches leave a basis function without samples, so their
+    # normal matrices are singular and they take the dense lstsq path
+    assert_same_function_projection(got, want, dense=(0, 2))
+
+
+def _counting_lstsq(monkeypatch):
+    calls = []
+    dense = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_function_projection_solves_well_conditioned_branches_without_lstsq(monkeypatch):
+    # every projection of the first 30 sweeps of a trig fit (seed 1, df 16)
+    trace = []
+    system = builtin_trig()
+    samples = sample_uniform(2, 100, -1.5, 1.5, 1)
+    cfg = CmtfConfig(rank=3, degree=3, df=16, lam=0.01, seed=1, max_iter=30, rel_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        decouple(jacobian_tensor(system, samples.X), zeroth_matrix(system, samples.X),
+                 samples.X, cfg, trace=trace)
+    inputs = [(rec["proj_g_before"], rec["proj_r_before"], 16, 3, rec["x"], 0.01) for rec in trace]
+    # and the S = 2000 reference case
+    rng = np.random.default_rng(2000)
+    G = rng.standard_normal((2000, 3)) + 0.5
+    R = rng.standard_normal((2000, 3))
+    x = rng.uniform(-2, 2, (3, 2000)) * [[1.0], [0.1], [3.0]]
+    inputs.append((G, R, 10, 4, x, 0.1))
+    calls = _counting_lstsq(monkeypatch)
+    for args in inputs:
+        out = bspline_projection(*args, Representation.FUNCTION, Constraint.NONE)
+        assert all(c[0] == 0.0 for c in out.coeffs)
+    assert len(inputs) == 31
+    assert len(calls) == 0
+
+
+def test_function_projection_falls_back_to_lstsq_per_ill_conditioned_branch(monkeypatch):
+    rng = np.random.default_rng(34)
+    s = 100
+    crowded = np.concatenate([np.zeros(94), [0.1, 0.2, 0.3, 0.5, 0.9, 1.0]])
+    x = np.vstack([crowded, rng.uniform(-1, 1, s), crowded[::-1] - 3.0])
+    G = rng.standard_normal((s, 3))
+    R = rng.standard_normal((s, 3))
+    calls = _counting_lstsq(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bspline_projection(G, R, 6, 3, x, 0.1, Representation.FUNCTION, Constraint.NONE)
+    assert len(calls) == 2
+    # lam = 0 leaves B^T B alone, singular along the constant: every branch
+    x = rng.uniform(-1, 1, (2, s))
+    calls.clear()
+    bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 0.0, Representation.FUNCTION, Constraint.NONE)
+    assert len(calls) == 2
+    # a tiny lam leaves it positive definite, but its pivots put kappa near 1e6
+    calls.clear()
+    bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 1e-12, Representation.FUNCTION, Constraint.NONE)
+    assert len(calls) == 2
+    calls.clear()
+    bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 1e-2, Representation.FUNCTION, Constraint.NONE)
+    assert len(calls) == 0
 
 
 # the ALS loop
@@ -595,6 +691,21 @@ def test_non_finite_input_aborts():
         decouple(J, bad_f, x, cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e60, -2e60])
+def test_divergence_check_raises(bad):
+    arr = np.zeros((3, 2))
+    arr[1, 1] = bad
+    with pytest.raises(RuntimeError, match="fit diverged at iteration 4: W0 is non-finite or overflowing."):
+        decoupling._check_diverged("W0", arr, 4)
+
+
+@pytest.mark.parametrize("edge", [0.0, 1e60, -1e60])
+def test_divergence_check_passes_up_to_the_cap(edge):
+    arr = np.ones((3, 2))
+    arr[2, 0] = edge
+    decoupling._check_diverged("W0", arr, 4)
+
+
 def test_dimension_mismatches_rejected():
     J, F, x = small_random_problem(3)
     cfg = CmtfConfig(rank=2, degree=2, df=5)
@@ -697,19 +808,38 @@ def test_one_step_test_still_stops_first(quadratic_system):
     assert np.flatnonzero(fired)[0] + 2 == state.iterations
 
 
-def test_decouple_with_reference_projection_is_bit_identical(monkeypatch):
+def _fits_with_both_projections(monkeypatch, representation):
     sys = builtin_trig()
     samples = sample_uniform(2, 100, -1.5, 1.5, 3)
     J = jacobian_tensor(sys, samples.X)
     F = zeroth_matrix(sys, samples.X)
-    cfg = CmtfConfig(rank=3, degree=3, df=12, lam=0.01, seed=3, max_iter=40, rel_tol=1e-12)
+    cfg = CmtfConfig(rank=3, degree=3, df=12, lam=0.01, seed=3, max_iter=40, rel_tol=1e-12,
+                     representation=representation)
     fits = []
     for projection in (bspline_projection, reference_projection):
         monkeypatch.setattr(decoupling, "bspline_projection", projection)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fits.append(decouple(J, F, samples.X, cfg))
-    (model_a, state_a), (model_b, state_b) = fits
+    return fits
+
+
+def test_decouple_with_reference_projection_matches_under_function(monkeypatch):
+    (model_a, state_a), (model_b, state_b) = _fits_with_both_projections(
+        monkeypatch, Representation.FUNCTION
+    )
+    assert state_a.iterations == state_b.iterations == 40
+    assert _close(np.array(state_a.history), np.array(state_b.history), rtol=1e-9)
+    # the knots follow W0 @ samples, which moves with the rounding of each sweep
+    for a, b in zip(model_a.branches, model_b.branches):
+        assert _close(a.basis.knots, b.basis.knots, rtol=1e-9)
+
+
+def test_decouple_with_reference_projection_is_bit_identical(monkeypatch):
+    # the DERIVATIVE projection keeps its dense lstsq solve
+    (model_a, state_a), (model_b, state_b) = _fits_with_both_projections(
+        monkeypatch, Representation.DERIVATIVE
+    )
     assert state_a.iterations == state_b.iterations == 40
     assert np.array_equal(np.array(state_a.history), np.array(state_b.history))
     for name in ("W1", "W0", "G", "R"):

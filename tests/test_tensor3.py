@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decoupline.tensor3 import (
+    _read_matrix_lines,
     CpdFactors,
     Tensor3,
     frob_norm_sq,
@@ -213,3 +214,38 @@ def test_read_matrix_malformed(tmp_path, content, fragment):
     p.write_text(content)
     with pytest.raises(ValueError, match=fragment):
         read_matrix(p)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "1.5,-2.0,0.1\n3.0,1e-300,7.0\n",
+        "1,2,3\n4,5,6\n",
+        "1,2\n\n3,4\n",
+        "1,2\r\n3,4\r\n",
+        " 1.5,2\n3, 4 \n",
+        "nan,-inf\n-0.0,inf\n",
+        "1e500,1\n",
+        "1_0,2\n",
+        "1,2,\n3,4,\n",
+        "1,2\n3\n",
+        "1,2\n   \n3,4\n",
+        "7\n8\n",
+        "",
+        "1.0,oops\n",
+    ],
+)
+def test_read_matrix_agrees_with_the_line_parser(tmp_path, content):
+    p = tmp_path / "m.txt"
+    p.write_text(content)
+    try:
+        want = _read_matrix_lines(p)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_matrix(p)
+        assert str(got.value) == str(exc)
+        return
+    got = read_matrix(p)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
