@@ -106,6 +106,8 @@ class SplineFunction:
             raise ValueError(
                 f"need df + 1 = {self.basis.df + 1} coefficients, got {c.size}."
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite.")
         if not isinstance(self.representation, Representation):
             raise ValueError(f"bad representation {self.representation!r}.")
         object.__setattr__(self, "coeffs", c)
@@ -301,15 +303,19 @@ def _window_values(win: np.ndarray, first: np.ndarray, coef: np.ndarray) -> np.n
 
 
 def _scatter(out: np.ndarray, window: np.ndarray, spans: np.ndarray, degree: int) -> np.ndarray:
-    """Write each point's level-major span-local values into its row of out, from column span - degree on."""
-    cols = spans - degree + np.arange(window.shape[0])[:, None]
-    out[np.arange(spans.size), cols] = window
+    """Write each point's level-major span-local values into its row of out, from column span - degree on.
+
+    spans holds one span per point, in any shape; out has that shape plus a
+    trailing column axis, and window the window width plus that shape.
+    """
+    cols = spans - degree + np.arange(window.shape[0]).reshape((-1,) + (1,) * spans.ndim)
+    out[(*np.indices(spans.shape, sparse=True), cols)] = window
     return out
 
 
 def _integral_steps(t: np.ndarray, degree: int, df: int) -> np.ndarray:
-    """(t_{j+d+1} - t_j)/(d+1): the integral of B_j over the whole domain."""
-    return (t[degree + 1 :] - t[:df]) / (degree + 1)
+    """(t_{j+d+1} - t_j)/(d+1): the integral of B_j over the whole domain, per knot row."""
+    return (t[..., degree + 1 :] - t[..., :df]) / (degree + 1)
 
 
 def _integral_into(out: np.ndarray, higher: np.ndarray, spans: np.ndarray, t: np.ndarray, degree: int) -> np.ndarray:
@@ -320,45 +326,106 @@ def _integral_into(out: np.ndarray, higher: np.ndarray, spans: np.ndarray, t: np
     side. Its spans are the plain spans shifted by one, so higher, the
     degree d+1 level of _local_basis on the plain knots t, holds its values.
     Column j collects the tail sum of the higher-degree functions scaled by
-    (t_{j+d+1} - t_j)/(d+1).
+    (t_{j+d+1} - t_j)/(d+1). spans and out are laid out as in _scatter;
+    with several rows of spans, t holds one knot vector per row.
     """
-    df = out.shape[1]
-    higher = _scatter(np.zeros((spans.size, df + 1)), higher, spans, degree)
+    df = out.shape[-1]
+    higher = _scatter(np.zeros(spans.shape + (df + 1,)), higher, spans, degree)
     # integral of B_j is dt[j] * sum of higher-degree functions with index > j
-    tails = np.cumsum(higher[:, ::-1], axis=1)[:, ::-1]
-    np.multiply(tails[:, 1:], _integral_steps(t, degree, df), out=out)
+    tails = np.cumsum(higher[..., ::-1], axis=-1)[..., ::-1]
+    np.multiply(tails[..., 1:], _integral_steps(t, degree, df)[..., None, :], out=out)
     return out
 
 
-def _pair_windows(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray, representation: Representation):
-    """Span-local values of the design pair (B, Btil) for every row at once.
+def _row_spans(t: np.ndarray, degree: int, u: np.ndarray) -> np.ndarray:
+    """_find_spans of every row: the points u[i] on the knot vector t[i]."""
+    return np.stack([_find_spans(k, degree, p) for k, p in zip(t, u)])
 
-    B is the derivative level and Btil the function level of a branch whose
-    spline has the given degree under the representation. One recursion
-    gives both, level-major. FUNCTION: Btil is the degree-d level and B
-    comes from its degree d-1 level. DERIVATIVE: B is the degree-d level
-    and Btil, the integral, needs the degree d+1 level.
+
+def _dense_pair(t: np.ndarray, degree: int, u: np.ndarray, representation: Representation):
+    """Augmented design pair [0 | B] and [1 | Btil] of every row, each (rows, S, df + 1).
+
+    Row i is one branch: the points u[i] on the knot vector t[i]. B is the
+    derivative level and Btil the function level of a branch whose spline
+    has the given degree under the representation, so both read the one
+    coefficient vector [c0, c1..df]; the leading column carries the free
+    constant. One recursion gives both levels. FUNCTION: Btil is the
+    degree-d level and B comes from its degree d-1 level. DERIVATIVE: B is
+    the degree-d level and Btil, the integral, needs the degree d+1 level.
     """
+    rows, df = t.shape[0], t.shape[1] - degree - 1
+    spans = _row_spans(t, degree, u)
+    b_mat = np.zeros((rows, u.shape[1], df + 1))
+    btil = np.zeros_like(b_mat)
+    btil[..., 0] = 1.0
     if representation is Representation.FUNCTION:
         lower, vals = _local_basis(t, degree, spans, u, below=True)
-        return _derivative_window(t, degree, spans, lower), vals
-    return _local_basis(t, degree + 1, spans, u, below=True)
-
-
-def _fill_pair(b_mat, btil, b_win, btil_win, spans, t, degree, representation) -> None:
-    """Write one row's augmented pair [0 | B] and [1 | Btil] into b_mat and btil.
-
-    b_win, btil_win, spans and t are that row's entries of _pair_windows,
-    _find_spans and the knot rows; both outputs are S x (df + 1).
-    """
-    b_mat.fill(0.0)
-    _scatter(b_mat[:, 1:], b_win, spans, degree)
-    btil[:, 0] = 1.0
-    if representation is Representation.FUNCTION:
-        btil[:, 1:] = 0.0
-        _scatter(btil[:, 1:], btil_win, spans, degree)
+        _scatter(b_mat[..., 1:], _derivative_window(t, degree, spans, lower), spans, degree)
+        _scatter(btil[..., 1:], vals, spans, degree)
     else:
-        _integral_into(btil[:, 1:], btil_win, spans, t, degree)
+        vals, higher = _local_basis(t, degree + 1, spans, u, below=True)
+        _scatter(b_mat[..., 1:], vals, spans, degree)
+        _integral_into(btil[..., 1:], higher, spans, t, degree)
+    return b_mat, btil
+
+
+# Largest kappa(A) a FUNCTION branch may have and still be solved from its
+# normal equations: those square kappa, so at this bound they keep about
+# eight of the sixteen digits. A branch above it (coincident knots leaving a
+# basis function with no samples, say) is solved densely by lstsq instead.
+_NORMAL_KAPPA_MAX = 1e4
+
+
+def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
+    """FUNCTION-representation fit of rows of (g, r) with c0 = 0, from normal equations.
+
+    Row i is one branch: samples g[i] of g' and r[i] of g at the points
+    u[i] on the knot vector t[i]. With A = [B; sqrt(lam) Btil] the stacked
+    design of B = derivative design matrix and Btil = design matrix, the
+    normal matrix is B^T B + lam Btil^T Btil. Btil^T Btil is the banded
+    Gram of the degree-d windows; B = D W, with D the degree d-1 design
+    matrix and W the (df+1) x df knot-difference map of
+    _derivative_weights, so B^T B = W^T (D^T D) W. Neither B nor Btil is
+    formed.
+
+    A row is solved when the eigenvalues of its normal matrix put kappa(A)
+    at or below _NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
+    _NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test). One
+    batched Cholesky factors those rows only.
+
+    Returns (solved, c, g_fit, r_fit): c[i] the df spline coefficients,
+    g_fit[i] and r_fit[i] the fitted samples. Rows with solved[i] False
+    get zeros in c and their other outputs are meaningless.
+    """
+    rows, df = t.shape[0], t.shape[1] - degree - 1
+    spans = _row_spans(t, degree, u)
+    lower, vals = _local_basis(t, degree, spans, u, below=True)
+    first = spans - degree
+    # the degree d-1 window of the same span starts one basis function later
+    first_lower = first + 1
+    w = _derivative_weights(t, degree)
+    diff = np.zeros((rows, df + 1, df))
+    col = np.arange(df)
+    diff[:, col, col] = w[:, :df]
+    diff[:, col + 1, col] = -w[:, 1:]
+    diff_t = np.swapaxes(diff, 1, 2)
+    normal = diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
+    normal += lam * _window_gram(vals, first, df)
+    rhs = diff_t @ _window_rhs(lower, first_lower, g, df + 1)[..., None]
+    rhs += lam * _window_rhs(vals, first, r, df)[..., None]
+    # eigvalsh rejects a non-finite matrix (a knot gap so narrow that its
+    # derivative weight overflows); a zero matrix stands in and fails the gate
+    finite = np.isfinite(normal).all(axis=(1, 2))
+    eig = np.linalg.eigvalsh(np.where(finite[:, None, None], normal, 0.0))
+    solved = eig[:, 0] > eig[:, -1] / _NORMAL_KAPPA_MAX**2
+    c = np.zeros((rows, df, 1))
+    if solved.any():
+        lo = np.linalg.cholesky(normal[solved])
+        c[solved] = np.linalg.solve(np.swapaxes(lo, 1, 2), np.linalg.solve(lo, rhs[solved]))
+    c = c[..., 0]
+    g_fit = _window_values(lower, first_lower, (diff @ c[..., None])[..., 0])
+    r_fit = _window_values(vals, first, c)
+    return solved, c, g_fit, r_fit
 
 
 # Points per block of span-local evaluation: each of a block's work arrays

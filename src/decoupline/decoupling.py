@@ -24,15 +24,9 @@ from .bspline import (
     Representation,
     SplineBasis,
     SplineFunction,
-    _fill_pair,
-    _derivative_weights,
-    _find_spans,
-    _local_basis,
-    _pair_windows,
+    _dense_pair,
+    _normal_fit,
     _sorted_knots,
-    _window_gram,
-    _window_rhs,
-    _window_values,
 )
 from .solvers import RANK_RCOND, lstsq, nnls, stacked_lstsq
 from .tensor3 import Tensor3, frob_norm_sq, khatri_rao, unfold
@@ -112,8 +106,6 @@ class CmtfConfig:
             raise ValueError(
                 f"df must exceed degree, got df={self.df}, degree={self.degree}."
             )
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}.")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}.")
         if not self.rel_tol > 0:
@@ -122,15 +114,23 @@ class CmtfConfig:
             raise ValueError(f"bad representation {self.representation!r}.")
         if not isinstance(self.constraint, Constraint):
             raise ValueError(f"bad constraint {self.constraint!r}.")
-        if (
-            self.constraint is Constraint.MONOTONE_INCREASING
-            and self.representation is not Representation.DERIVATIVE
-        ):
-            # nonnegative coefficients on g itself would force g >= 0,
-            # not monotonicity, so reject instead of silently reinterpreting
-            raise ValueError(
-                "MONOTONE_INCREASING requires the DERIVATIVE representation."
-            )
+        _check_projection_args(self.lam, self.representation, self.constraint)
+
+
+def _check_projection_args(lam, representation, constraint) -> None:
+    """Reject a coupling weight that is not positive, and a constraint the
+    representation cannot express."""
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}.")
+    if (
+        constraint is Constraint.MONOTONE_INCREASING
+        and representation is not Representation.DERIVATIVE
+    ):
+        # nonnegative coefficients on g itself would force g >= 0,
+        # not monotonicity, so reject instead of silently reinterpreting
+        raise ValueError(
+            "MONOTONE_INCREASING requires the DERIVATIVE representation."
+        )
 
 
 @dataclass
@@ -166,10 +166,11 @@ class ProjectionResult:
     """Spline-projected G and R plus what produced them.
 
     coeffs[j] is the df+1 coefficient vector [c0, c1..df] of branch j, or
-    None when the fallback replaced that branch this sweep. A FUNCTION
-    branch solved from its normal equations has c0 = 0 (the spline block
-    carries the constant); one that took the dense lstsq path may carry
-    part of its constant in c0, and a collapsed branch has only c0.
+    None when the fallback replaced that branch this sweep. A collapsed
+    branch has only c0. A FUNCTION branch solved from its normal equations
+    has c0 = 0 (the spline block carries the constant); one whose kappa(A)
+    failed the eigenvalue gate of bspline._normal_fit took the dense lstsq
+    path instead and may carry part of its constant in c0.
     knots[j] is its knot vector and bases[j] its SplineBasis, built from
     knots and degree (the basis degree, one less than the branch degree
     under DERIVATIVE) when first read.
@@ -240,27 +241,6 @@ def leaky_relu_fallback(u) -> tuple[np.ndarray, np.ndarray]:
     return g_col, r_col
 
 
-def _branch_matrices(basis: SplineBasis, u, representation: Representation):
-    """Augmented design pair (B for the derivative column, Btil for the
-    function column) sharing one coefficient vector [c0, c1..df]."""
-    t, d = basis.knots, basis.degree
-    u = np.asarray(u, dtype=float)
-    spans = _find_spans(t, d, u)
-    b_win, btil_win = _pair_windows(t[None, :], d, spans[None, :], u[None, :], representation)
-    b_mat = np.empty((u.size, basis.df + 1))
-    btil = np.empty_like(b_mat)
-    _fill_pair(b_mat, btil, b_win[:, 0], btil_win[:, 0], spans, t, d, representation)
-    return b_mat, btil
-
-
-def _nonneg_coeffs(b_mat, btil, g_col, r_col, lam, warm=None) -> np.ndarray:
-    """Stacked fit of one branch with c[1:] >= 0 and c[0] free."""
-    root = np.sqrt(lam)
-    return _nonneg_stacked(
-        np.vstack([b_mat, root * btil]), np.concatenate([g_col, root * r_col]), warm
-    )
-
-
 def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
     """min ||a c - y|| over c with c[1:] >= 0, for the stacked [B; sqrt(lam) Btil].
 
@@ -284,70 +264,6 @@ def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
     return np.concatenate([[c0], c_plus])
 
 
-# Largest kappa(A) a FUNCTION branch may have, estimated from its Cholesky
-# pivots, and still be solved from its normal equations: those square
-# kappa, so at this bound they keep about eight of the sixteen digits. A
-# branch above it (coincident knots leaving a basis function with no
-# samples, say) is solved densely by lstsq instead.
-_NORMAL_KAPPA_MAX = 1e4
-
-
-def _cholesky_or_nan(normal: np.ndarray) -> np.ndarray:
-    """Batched Cholesky factors; a matrix that is not positive definite gets NaNs."""
-    try:
-        return np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        if len(normal) == 1:
-            return np.full_like(normal, np.nan)
-        return np.concatenate([_cholesky_or_nan(m[None]) for m in normal])
-
-
-def _normal_projection(g, r, t, degree, spans, u, lam):
-    """FUNCTION-representation fit of rows of (g, r) with c0 = 0, from normal equations.
-
-    Row i is one branch: samples g[i] of g' and r[i] of g at the points
-    u[i], knot vector t[i] and its spans. With A = [B; sqrt(lam) Btil] the
-    stacked design of B = derivative design matrix and Btil = design
-    matrix, the normal matrix is B^T B + lam Btil^T Btil. Btil^T Btil is
-    the banded Gram of the degree-d windows; B = D W, with D the degree d-1
-    design matrix and W the (df+1) x df knot-difference map of
-    _derivative_weights, so B^T B = W^T (D^T D) W. Neither B nor Btil is
-    formed. One batched Cholesky solves every row.
-
-    Returns (solved, c, g_fit, r_fit): c[i] the df spline coefficients,
-    g_fit[i] and r_fit[i] the fitted samples. solved[i] is False where the
-    normal matrix is not positive definite or its pivots put kappa(A) above
-    _NORMAL_KAPPA_MAX; such rows' other outputs are meaningless.
-    """
-    rows, df = t.shape[0], t.shape[1] - degree - 1
-    lower, vals = _local_basis(t, degree, spans, u, below=True)
-    first = spans - degree
-    # the degree d-1 window of the same span starts one basis function later
-    first_lower = first + 1
-    w = _derivative_weights(t, degree)
-    diff = np.zeros((rows, df + 1, df))
-    col = np.arange(df)
-    diff[:, col, col] = w[:, :df]
-    diff[:, col + 1, col] = -w[:, 1:]
-    diff_t = np.swapaxes(diff, 1, 2)
-    normal = diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
-    normal += lam * _window_gram(vals, first, df)
-    rhs = diff_t @ _window_rhs(lower, first_lower, g, df + 1)[..., None]
-    rhs += lam * _window_rhs(vals, first, r, df)[..., None]
-    chol = _cholesky_or_nan(normal)
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
-    # a NaN pivot fails the comparison too
-    solved = pivots.max(axis=1) <= _NORMAL_KAPPA_MAX * pivots.min(axis=1)
-    c = np.zeros((rows, df, 1))
-    if solved.any():
-        lo = chol[solved]
-        c[solved] = np.linalg.solve(np.swapaxes(lo, 1, 2), np.linalg.solve(lo, rhs[solved]))
-    c = c[..., 0]
-    g_fit = _window_values(lower, first_lower, (diff @ c[..., None])[..., 0])
-    r_fit = _window_values(vals, first, c)
-    return solved, c, g_fit, r_fit
-
-
 def bspline_projection(
     G,
     R,
@@ -363,10 +279,23 @@ def bspline_projection(
 
     Branch j gets knots from the quantiles of row j of x_samples. Its
     derivative column G[:, j] and function column R[:, j] are fitted
-    jointly (function block weighted by lam) and overwritten by the fitted
-    spline values. Under MONOTONE_INCREASING the spline block is solved by
-    NNLS; if that returns all zeros the branch is replaced by leaky ReLU
-    samples for this sweep instead (coeffs entry None).
+    jointly (function block weighted by lam > 0) and overwritten by the
+    fitted spline values. The branches share one sort of x_samples and one
+    knot pass; each branch then takes one of these routes:
+
+    * a collapsed input row (zero or float-coincident spread) gets the best
+      constant, in c0;
+    * under FUNCTION, every branch is solved at once from its banded normal
+      equations with the free constant dropped (c0 = 0; the basis sums to
+      one, so that column only repeated the spline block's constant); see
+      bspline._normal_fit;
+    * every other branch, and each FUNCTION branch whose normal matrix has
+      kappa(A) above bspline._NORMAL_KAPPA_MAX, is written into the stacked
+      system [B; sqrt(lam) Btil] of bspline._dense_pair, with the constant
+      column, and solved alone: by lstsq (the min-norm solution where it is
+      rank-deficient), or under MONOTONE_INCREASING by NNLS on the spline
+      block. If NNLS returns all zeros the branch is replaced by leaky ReLU
+      samples for this sweep instead (coeffs entry None).
 
     warm, when given, is the coeffs of the previous projection: each
     constrained branch starts its NNLS from its own previous coefficients
@@ -374,24 +303,14 @@ def bspline_projection(
     on its start beyond the free set it ends on (see solvers.nnls), so
     this only saves solves; the unconstrained arm ignores warm.
 
-    The branches share one sort of x_samples, one quantile call, one span
-    search per row and one basis recursion. Under FUNCTION with no
-    constraint and lam > 0 the free constant is dropped (c0 = 0): the basis
-    sums to one, so that column only repeated the spline block's constant
-    and made the stacked system rank-deficient. Every branch is then solved
-    at once from its banded normal equations (see _normal_projection). A
-    branch whose normal matrix is not positive definite or whose estimated
-    kappa exceeds _NORMAL_KAPPA_MAX, every branch at lam = 0, and every
-    DERIVATIVE or constrained branch is instead written into one stacked
-    system [B; sqrt(lam) Btil], with the constant column, and solved alone:
-    by lstsq (the min-norm solution where it is rank-deficient) or NNLS.
+    lam <= 0 and MONOTONE_INCREASING under FUNCTION are rejected with
+    CmtfConfig's messages: no fit sends them.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}.")
+    _check_projection_args(lam, representation, constraint)
     G = np.array(G, dtype=float)
     R = np.array(R, dtype=float)
     x = np.asarray(x_samples, dtype=float)
-    s, r = G.shape
+    r = G.shape[1]
     basis_degree = degree if representation is Representation.FUNCTION else degree - 1
     knots = np.empty((r, df + basis_degree + 1))
     coeffs = [None] * r
@@ -417,40 +336,29 @@ def bspline_projection(
         t = _sorted_knots(xs[live], df, basis_degree)
         knots[live] = t
         u = x[live]
-        spans = np.stack([_find_spans(k, basis_degree, p) for k, p in zip(t, u)])
         dense = np.arange(live.size)
-        if representation is Representation.FUNCTION and constraint is Constraint.NONE and lam > 0:
-            solved, c, g_fit, r_fit = _normal_projection(
-                G[:, live].T, R[:, live].T, t, basis_degree, spans, u, lam
-            )
+        if representation is Representation.FUNCTION:
+            solved, c, g_fit, r_fit = _normal_fit(t, basis_degree, u, G[:, live].T, R[:, live].T, lam)
             G[:, live[solved]] = g_fit[solved].T
             R[:, live[solved]] = r_fit[solved].T
             for i in np.flatnonzero(solved):
                 coeffs[live[i]] = np.concatenate([[0.0], c[i]])
             dense = np.flatnonzero(~solved)
         if dense.size:
-            t, spans, u = t[dense], spans[dense], u[dense]
-            b_win, btil_win = _pair_windows(t, basis_degree, spans, u, representation)
+            b_mats, btils = _dense_pair(t[dense], basis_degree, u[dense], representation)
             root = np.sqrt(lam)
-            # lam = 0 drops the function block, as stacked_lstsq does
-            rows = s if lam == 0 else 2 * s
-            a = np.empty((2 * s, df + 1))
-            y = np.empty(2 * s)
-            btil = np.empty((s, df + 1))
-            for i, j in enumerate(live[dense]):
-                _fill_pair(a[:s], btil, b_win[:, i], btil_win[:, i], spans[i], t[i], basis_degree, representation)
-                np.multiply(root, btil, out=a[s:])
-                y[:s] = G[:, j]
-                np.multiply(root, R[:, j], out=y[s:])
+            for j, b_mat, btil in zip(live[dense], b_mats, btils):
+                a = np.vstack([b_mat, root * btil])
+                y = np.concatenate([G[:, j], root * R[:, j]])
                 if constraint is Constraint.NONE:
-                    c = np.linalg.lstsq(a[:rows], y[:rows], rcond=RANK_RCOND)[0]
+                    c = np.linalg.lstsq(a, y, rcond=RANK_RCOND)[0]
                 else:
                     c = _nonneg_stacked(a, y, None if warm is None else warm[j])
                     if np.all(c[1:] == 0):
-                        G[:, j], R[:, j] = leaky_relu_fallback(u[i])
+                        G[:, j], R[:, j] = leaky_relu_fallback(x[j])
                         fallback[j] = True
                         continue
-                G[:, j] = a[:s] @ c
+                G[:, j] = b_mat @ c
                 R[:, j] = btil @ c
                 coeffs[j] = c
     return ProjectionResult(
@@ -658,8 +566,9 @@ def _assemble_branches(proj: ProjectionResult, G, R, x, lam, config: CmtfConfig)
     branches = []
     for j, (c, basis, fb) in enumerate(zip(proj.coeffs, proj.bases, proj.fallback)):
         if fb:
-            b_mat, btil = _branch_matrices(basis, x[j], config.representation)
-            c = _nonneg_coeffs(b_mat, btil, G[:, j], R[:, j], lam)
+            (b_mat,), (btil,) = _dense_pair(proj.knots[j : j + 1], proj.degree, x[j : j + 1], config.representation)
+            root = np.sqrt(lam)
+            c = _nonneg_stacked(np.vstack([b_mat, root * btil]), np.concatenate([G[:, j], root * R[:, j]]))
             G[:, j] = b_mat @ c
             R[:, j] = btil @ c
         branches.append(SplineFunction(basis=basis, coeffs=c, representation=config.representation))

@@ -287,6 +287,17 @@ def test_spline_function_coeff_count():
         SplineFunction(basis, np.zeros(5), Representation.FUNCTION)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rep", [Representation.FUNCTION, Representation.DERIVATIVE])
+def test_spline_function_rejects_non_finite_coefficients(bad, rep):
+    # a NaN coefficient would otherwise evaluate to NaN wherever it is read
+    basis = SplineBasis(degree=1, df=3, knots=[0, 0, 0.5, 1, 1])
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SplineFunction(basis, [0.0, bad, 1.0, 2.0], rep)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SplineFunction(basis, [bad, 0.0, 1.0, 2.0], rep)
+
+
 def test_spline_function_levels_are_consistent():
     basis, x = quantile_basis(seed=13, df=7, degree=3)
     rng = np.random.default_rng(3)

@@ -22,7 +22,7 @@ from decoupline.decoupling import (
     Constraint,
     ProjectionResult,
     SplineFunction,
-    _nonneg_coeffs,
+    _nonneg_stacked,
     bspline_projection,
     certify_monotone,
     decouple,
@@ -223,9 +223,8 @@ def test_projection_is_optimal_for_the_stacked_objective():
 
     base = stacked_cost(out.G[:, 0], out.R[:, 0])
     basis = out.bases[0]
-    from decoupline.decoupling import _branch_matrices
-
-    b_mat, btil = _branch_matrices(basis, x[0], Representation.FUNCTION)
+    b_mat = augment(derivative_design_matrix(basis, x[0]), "zeros")
+    btil = augment(design_matrix(basis, x[0]), "ones")
     for _ in range(200):
         c = out.coeffs[0] + rng.standard_normal(7) * 0.1
         assert stacked_cost(b_mat @ c, btil @ c) >= base - 1e-9
@@ -335,8 +334,10 @@ def reference_projection(G, R, df, degree, x_samples, lam, representation, const
         if constraint is Constraint.NONE:
             c = np.asarray(stacked_lstsq(b_mat, G[:, j], btil, R[:, j], lam).solution).ravel()
         else:
-            c = _nonneg_coeffs(b_mat, btil, G[:, j], R[:, j], lam,
-                               None if warm is None else warm[j])
+            root = np.sqrt(lam)
+            c = _nonneg_stacked(np.vstack([b_mat, root * btil]),
+                                np.concatenate([G[:, j], root * R[:, j]]),
+                                None if warm is None else warm[j])
             if np.all(c[1:] == 0):
                 G[:, j], R[:, j] = leaky_relu_fallback(u)
                 coeffs.append(None)
@@ -407,7 +408,6 @@ def both_projections(*args):
 
 REP_CONSTRAINT = [
     (Representation.FUNCTION, Constraint.NONE),
-    (Representation.FUNCTION, Constraint.MONOTONE_INCREASING),
     (Representation.DERIVATIVE, Constraint.NONE),
     (Representation.DERIVATIVE, Constraint.MONOTONE_INCREASING),
 ]
@@ -435,7 +435,7 @@ def test_projection_reference_collapsed_row(rep, constraint):
     assert_matches_reference(got, want, rep, constraint)
 
 
-@pytest.mark.parametrize("rep", [Representation.FUNCTION, Representation.DERIVATIVE])
+@pytest.mark.parametrize("rep", [Representation.DERIVATIVE])
 def test_projection_warm_start_is_bit_identical(rep):
     rng = np.random.default_rng(33)
     s = 40
@@ -491,16 +491,31 @@ def test_projection_reference_no_interior_knots(rep, constraint):
 
 
 def test_projection_reference_lam_edges():
-    # lam = 0 leaves the function block out of the solve, as stacked_lstsq does
     rng = np.random.default_rng(35)
     s = 40
     G = rng.standard_normal((s, 2))
     R = rng.standard_normal((s, 2))
     x = rng.uniform(-1, 1, (2, s))
-    got, want, _ = both_projections(G, R, 6, 3, x, 0.0, Representation.FUNCTION, Constraint.NONE)
-    assert_same_projection(got, want)
-    with pytest.raises(ValueError, match="lam must be >= 0"):
+    with pytest.raises(ValueError, match="lam must be positive"):
         bspline_projection(G, R, 6, 3, x, -0.1, Representation.FUNCTION, Constraint.NONE)
+
+
+def test_projection_rejects_inputs_no_fit_sends():
+    # CmtfConfig rejects lam <= 0 and MONOTONE_INCREASING under FUNCTION, so
+    # no fit sends them; the projection rejects them with the same messages
+    rng = np.random.default_rng(36)
+    s = 40
+    G = rng.standard_normal((s, 2))
+    R = rng.standard_normal((s, 2))
+    x = rng.uniform(-1, 1, (2, s))
+    for rep, constraint in REP_CONSTRAINT:
+        for lam in (0.0, np.nan):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                bspline_projection(G, R, 6, 3, x, lam, rep, constraint)
+    with pytest.raises(ValueError, match="requires the DERIVATIVE representation"):
+        bspline_projection(G, R, 6, 3, x, 0.1, Representation.FUNCTION,
+                           Constraint.MONOTONE_INCREASING)
+
 
 def test_projection_warns_once_per_crowded_branch():
     rng = np.random.default_rng(34)
@@ -567,18 +582,30 @@ def test_function_projection_falls_back_to_lstsq_per_ill_conditioned_branch(monk
         warnings.simplefilter("ignore")
         bspline_projection(G, R, 6, 3, x, 0.1, Representation.FUNCTION, Constraint.NONE)
     assert len(calls) == 2
-    # lam = 0 leaves B^T B alone, singular along the constant: every branch
+    # a tiny lam leaves B^T B + lam Btil^T Btil positive definite, but
+    # nearly singular along the constant: kappa(A) near 1e6
     x = rng.uniform(-1, 1, (2, s))
     calls.clear()
-    bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 0.0, Representation.FUNCTION, Constraint.NONE)
-    assert len(calls) == 2
-    # a tiny lam leaves it positive definite, but its pivots put kappa near 1e6
-    calls.clear()
     bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 1e-12, Representation.FUNCTION, Constraint.NONE)
+    assert len(calls) == 2
+    # kappa(A) is 1.66e4 and 2.19e4 here, while the Cholesky pivots' ratio
+    # reads 5.2e3 and 6.1e3: the eigenvalue gate sends both branches to lstsq
+    calls.clear()
+    bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 4e-8, Representation.FUNCTION, Constraint.NONE)
     assert len(calls) == 2
     calls.clear()
     bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 1e-2, Representation.FUNCTION, Constraint.NONE)
     assert len(calls) == 0
+    # a first interior knot 1e-160 right of the boundary makes a derivative
+    # weight of 3e160, whose square overflows the normal matrix to inf
+    x[0] = np.concatenate([np.zeros(10), np.full(30, 1e-160), rng.uniform(0.5, 1, s - 40)])
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 0.1, Representation.FUNCTION,
+                                 Constraint.NONE)
+    assert len(calls) == 1
+    assert np.all(np.isfinite(out.G)) and np.all(np.isfinite(out.R))
 
 
 # the ALS loop
@@ -898,6 +925,36 @@ def test_predict_reproduces_final_coupling_product():
     pred = predict(model, samples.X)
     assert pred.shape == F.shape
     assert np.allclose(pred, model.W1 @ state.R.T, atol=1e-10)
+
+
+def test_fit_ending_on_the_fallback_refits_a_monotone_branch():
+    # a rank-1 strictly decreasing branch under MONOTONE_INCREASING: seed 1's
+    # random start makes the one sweep's NNLS return all zeros, so the fit
+    # ends on the leaky-ReLU fallback and the end-of-fit refit stores a spline
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (2, 60))
+    w0 = np.array([[0.6, 0.8]])
+    w1 = np.array([[1.0], [-0.5]])
+    u = (w0 @ x)[0]
+    J = Tensor3(np.einsum("ir,k,rj->ijk", w1, -1 - 3 * u**2, w0))
+    F = w1 @ (-u - u**3)[None, :]
+    cfg = CmtfConfig(rank=1, degree=3, df=6, lam=0.1, max_iter=1, seed=1,
+                     representation=Representation.DERIVATIVE,
+                     constraint=Constraint.MONOTONE_INCREASING)
+    trace = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, state = decouple(J, F, x, cfg, trace=trace)
+    assert trace[-1]["projection"].fallback == (True,)
+    coeffs = model.branches[0].coeffs
+    assert np.all(coeffs[1:] >= 0)
+    assert np.any(coeffs[1:] > 0)
+    assert certify_monotone(model.branches[0]) is Certification.CERTIFIED_INCREASING
+    # the refit overwrote the fallback columns, so the stored branch and the
+    # final R agree on the training samples
+    want = model.W1 @ state.R.T
+    assert _close(predict(model, x), want, rtol=1e-12)
+    assert not np.allclose(state.R[:, 0], leaky_relu_fallback(trace[-1]["x"][0])[1])
 
 
 def test_predict_rejects_non_finite_inputs():
