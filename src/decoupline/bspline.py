@@ -6,8 +6,10 @@ of freedom and degree d carries df + d + 1 knots. Design matrices evaluate
 the df basis functions at given points; companion matrices evaluate their
 derivatives and running integrals in the same coefficient space, so a single
 coefficient vector can be read at the function level and at the derivative
-level consistently. SplineFunction evaluates without them: each point reads
-only the few basis functions alive on its knot span.
+level consistently. All three are blocks of one dense builder, _dense_pair,
+which also writes the spline projection's stacked systems. SplineFunction
+evaluates without them: each point reads only the few basis functions alive
+on its knot span.
 
 Conventions that matter downstream:
   * right boundary is closed, the last basis function equals 1 at the domain
@@ -409,12 +411,16 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     diff[:, col, col] = w[:, :df]
     diff[:, col + 1, col] = -w[:, 1:]
     diff_t = np.swapaxes(diff, 1, 2)
-    normal = diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
-    normal += lam * _window_gram(vals, first, df)
-    rhs = diff_t @ _window_rhs(lower, first_lower, g, df + 1)[..., None]
-    rhs += lam * _window_rhs(vals, first, r, df)[..., None]
-    # eigvalsh rejects a non-finite matrix (a knot gap so narrow that its
-    # derivative weight overflows); a zero matrix stands in and fails the gate
+    # a knot gap so narrow that its derivative weight squares past the float
+    # range overflows its row's normal matrix; the gate below sends that row
+    # to lstsq, so the overflow is expected and not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
+        normal += lam * _window_gram(vals, first, df)
+        rhs = diff_t @ _window_rhs(lower, first_lower, g, df + 1)[..., None]
+        rhs += lam * _window_rhs(vals, first, r, df)[..., None]
+    # eigvalsh rejects a non-finite matrix; a zero matrix stands in and fails
+    # the gate
     finite = np.isfinite(normal).all(axis=(1, 2))
     eig = np.linalg.eigvalsh(np.where(finite[:, None, None], normal, 0.0))
     solved = eig[:, 0] > eig[:, -1] / _NORMAL_KAPPA_MAX**2
@@ -480,37 +486,41 @@ def _window_dot(t: np.ndarray, d: int, weights: np.ndarray, u: np.ndarray, order
     return sums[0] + sums[1]
 
 
+def _points(u) -> np.ndarray:
+    """The points u as the single row of points that _dense_pair reads."""
+    return np.asarray(u, dtype=float).reshape(1, -1)
+
+
 def design_matrix(basis: SplineBasis, u) -> np.ndarray:
-    """S x df matrix of basis function values at the points u."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    t, d = basis.knots, basis.degree
-    spans = _find_spans(t, d, u)
-    _, local = _local_basis(t[None, :], d, spans[None, :], u[None, :])
-    return _scatter(np.zeros((u.size, basis.df)), local[:, 0], spans, d)
+    """S x df matrix of basis function values at the points u.
+
+    The B block of the DERIVATIVE pair of _dense_pair without its constant
+    column; that pair also exists at degree 0.
+    """
+    b_mat, _ = _dense_pair(basis.knots[None, :], basis.degree, _points(u), Representation.DERIVATIVE)
+    return b_mat[0, :, 1:]
 
 
 def derivative_design_matrix(basis: SplineBasis, u) -> np.ndarray:
     """S x df matrix of first-derivative values of the basis functions.
 
-    Needs degree >= 1; see _derivative_window for the recurrence.
+    Needs degree >= 1. The B block of the FUNCTION pair of _dense_pair
+    without its constant column; see _derivative_window for the recurrence.
     """
-    t, d = basis.knots, basis.degree
-    if d < 1:
+    if basis.degree < 1:
         raise ValueError("derivative needs degree >= 1.")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    spans = _find_spans(t, d, u)
-    _, lower = _local_basis(t[None, :], d - 1, spans[None, :], u[None, :])
-    window = _derivative_window(t[None, :], d, spans[None, :], lower)
-    return _scatter(np.zeros((u.size, basis.df)), window[:, 0], spans, d)
+    b_mat, _ = _dense_pair(basis.knots[None, :], basis.degree, _points(u), Representation.FUNCTION)
+    return b_mat[0, :, 1:]
 
 
 def integral_design_matrix(basis: SplineBasis, u) -> np.ndarray:
-    """S x df matrix of running integrals int_{t_min}^{u} B_j."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    t, d = basis.knots, basis.degree
-    spans = _find_spans(t, d, u)
-    _, higher = _local_basis(t[None, :], d + 1, spans[None, :], u[None, :])
-    return _integral_into(np.empty((u.size, basis.df)), higher[:, 0], spans, t, d)
+    """S x df matrix of running integrals int_{t_min}^{u} B_j.
+
+    The Btil block of the DERIVATIVE pair of _dense_pair without its
+    constant column.
+    """
+    _, btil = _dense_pair(basis.knots[None, :], basis.degree, _points(u), Representation.DERIVATIVE)
+    return btil[0, :, 1:]
 
 
 def augment(mat: np.ndarray, kind: str) -> np.ndarray:

@@ -33,9 +33,6 @@ from .experiments import (
 )
 from .tensor3 import read_matrix, read_tensor, write_matrix
 
-_REPS = {"function": Representation.FUNCTION, "derivative": Representation.DERIVATIVE}
-_CONSTRAINTS = {"none": Constraint.NONE, "increasing": Constraint.MONOTONE_INCREASING}
-
 
 def _int_list(text: str) -> tuple:
     try:
@@ -59,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--degree", type=int, default=3)
     p_dec.add_argument("--dof", type=int, default=16)
     p_dec.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p_dec.add_argument("--constraint", choices=sorted(_CONSTRAINTS), default="none")
-    p_dec.add_argument("--rep", choices=sorted(_REPS), default="function")
+    p_dec.add_argument("--constraint", choices=sorted(c.value for c in Constraint), default="none")
+    p_dec.add_argument("--rep", choices=sorted(r.value for r in Representation), default="function")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--max-iter", type=int, default=200)
     p_dec.add_argument(
@@ -112,8 +109,8 @@ def _cmd_decouple(args) -> int:
         degree=args.degree,
         df=args.dof,
         lam=args.lam,
-        representation=_REPS[args.rep],
-        constraint=_CONSTRAINTS[args.constraint],
+        representation=Representation(args.rep),
+        constraint=Constraint(args.constraint),
         max_iter=args.max_iter,
         rel_tol=args.rel_tol,
         seed=args.seed,

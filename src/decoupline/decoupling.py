@@ -13,8 +13,9 @@ as monotone increasing.
 from __future__ import annotations
 
 import json
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 
@@ -29,7 +30,7 @@ from .bspline import (
     _sorted_knots,
 )
 from .solvers import RANK_RCOND, lstsq, nnls, stacked_lstsq
-from .tensor3 import Tensor3, frob_norm_sq, khatri_rao, unfold
+from .tensor3 import Tensor3, frob_norm_sq, khatri_rao, reconstruct, unfold
 
 __all__ = [
     "Constraint",
@@ -191,8 +192,7 @@ class ProjectionResult:
 
 def objective_terms(J: Tensor3, F, W1, W0, G, R) -> tuple[float, float]:
     """Squared tensor residual and squared coupling residual, unweighted."""
-    recon = np.einsum("ir,jr,kr->ijk", W1, W0.T, G)
-    tensor_term = frob_norm_sq(J.data - recon)
+    tensor_term = frob_norm_sq(J.data - reconstruct(W1, W0.T, G).data)
     coupling_term = frob_norm_sq(np.asarray(F, dtype=float) - W1 @ R.T)
     return tensor_term, coupling_term
 
@@ -264,6 +264,22 @@ def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
     return np.concatenate([[c0], c_plus])
 
 
+def _dense_solve(b_mat, btil, g, r, lam: float, constraint: Constraint, warm=None) -> np.ndarray:
+    """Coefficients of one branch from its stacked system [B; sqrt(lam) Btil] c ~ [g; sqrt(lam) r].
+
+    b_mat and btil are one branch's pair from bspline._dense_pair, g and r
+    its samples of g' and g. Without a constraint the solve is lstsq (the
+    min-norm solution where the system is rank-deficient), under
+    MONOTONE_INCREASING _nonneg_stacked, seeded with warm.
+    """
+    root = np.sqrt(lam)
+    a = np.vstack([b_mat, root * btil])
+    y = np.concatenate([g, root * r])
+    if constraint is Constraint.NONE:
+        return np.linalg.lstsq(a, y, rcond=RANK_RCOND)[0]
+    return _nonneg_stacked(a, y, warm)
+
+
 def bspline_projection(
     G,
     R,
@@ -292,9 +308,9 @@ def bspline_projection(
     * every other branch, and each FUNCTION branch whose normal matrix has
       kappa(A) above bspline._NORMAL_KAPPA_MAX, is written into the stacked
       system [B; sqrt(lam) Btil] of bspline._dense_pair, with the constant
-      column, and solved alone: by lstsq (the min-norm solution where it is
-      rank-deficient), or under MONOTONE_INCREASING by NNLS on the spline
-      block. If NNLS returns all zeros the branch is replaced by leaky ReLU
+      column, and solved alone by _dense_solve: by lstsq (the min-norm
+      solution where it is rank-deficient), or under MONOTONE_INCREASING by
+      NNLS on the spline block. If NNLS returns all zeros the branch is replaced by leaky ReLU
       samples for this sweep instead (coeffs entry None).
 
     warm, when given, is the coeffs of the previous projection: each
@@ -346,18 +362,13 @@ def bspline_projection(
             dense = np.flatnonzero(~solved)
         if dense.size:
             b_mats, btils = _dense_pair(t[dense], basis_degree, u[dense], representation)
-            root = np.sqrt(lam)
             for j, b_mat, btil in zip(live[dense], b_mats, btils):
-                a = np.vstack([b_mat, root * btil])
-                y = np.concatenate([G[:, j], root * R[:, j]])
-                if constraint is Constraint.NONE:
-                    c = np.linalg.lstsq(a, y, rcond=RANK_RCOND)[0]
-                else:
-                    c = _nonneg_stacked(a, y, None if warm is None else warm[j])
-                    if np.all(c[1:] == 0):
-                        G[:, j], R[:, j] = leaky_relu_fallback(x[j])
-                        fallback[j] = True
-                        continue
+                c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, constraint,
+                                 None if warm is None else warm[j])
+                if constraint is not Constraint.NONE and np.all(c[1:] == 0):
+                    G[:, j], R[:, j] = leaky_relu_fallback(x[j])
+                    fallback[j] = True
+                    continue
                 G[:, j] = b_mat @ c
                 R[:, j] = btil @ c
                 coeffs[j] = c
@@ -567,8 +578,7 @@ def _assemble_branches(proj: ProjectionResult, G, R, x, lam, config: CmtfConfig)
     for j, (c, basis, fb) in enumerate(zip(proj.coeffs, proj.bases, proj.fallback)):
         if fb:
             (b_mat,), (btil,) = _dense_pair(proj.knots[j : j + 1], proj.degree, x[j : j + 1], config.representation)
-            root = np.sqrt(lam)
-            c = _nonneg_stacked(np.vstack([b_mat, root * btil]), np.concatenate([G[:, j], root * R[:, j]]))
+            c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, config.constraint)
             G[:, j] = b_mat @ c
             R[:, j] = btil @ c
         branches.append(SplineFunction(basis=basis, coeffs=c, representation=config.representation))
@@ -626,7 +636,10 @@ def certify_monotone(fn: SplineFunction) -> Certification:
 
 
 def save_model(model: DecoupledModel, path) -> None:
-    """Write the model as JSON: dims, W1 and W0 row-major, branch splines."""
+    """Write the model as JSON: dims, W1 and W0 row-major, branch splines.
+
+    config holds every CmtfConfig field in declaration order, enums by value.
+    """
     cfg = model.config
     payload = {
         "dims": {
@@ -646,18 +659,11 @@ def save_model(model: DecoupledModel, path) -> None:
             }
             for b in model.branches
         ],
-        "config": {
-            "rank": cfg.rank,
-            "degree": cfg.degree,
-            "df": cfg.df,
-            "lam": cfg.lam,
-            "representation": cfg.representation.value,
-            "constraint": cfg.constraint.value,
-            "max_iter": cfg.max_iter,
-            "rel_tol": cfg.rel_tol,
-            "seed": cfg.seed,
-        },
+        "config": {},
     }
+    for f in fields(CmtfConfig):
+        value = getattr(cfg, f.name)
+        payload["config"][f.name] = value.value if isinstance(value, Enum) else value
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -684,17 +690,12 @@ def load_model(path) -> DecoupledModel:
         raise ValueError(f"malformed model file {path}: {exc}.") from exc
     try:
         cfg_raw = payload["config"]
-        config = CmtfConfig(
-            rank=cfg_raw["rank"],
-            degree=cfg_raw["degree"],
-            df=cfg_raw["df"],
-            lam=cfg_raw["lam"],
-            representation=Representation(cfg_raw["representation"]),
-            constraint=Constraint(cfg_raw["constraint"]),
-            max_iter=cfg_raw["max_iter"],
-            rel_tol=cfg_raw["rel_tol"],
-            seed=cfg_raw["seed"],
-        )
+        kinds = typing.get_type_hints(CmtfConfig)
+        settings = {}
+        for f in fields(CmtfConfig):
+            value = cfg_raw[f.name]
+            settings[f.name] = kinds[f.name](value) if issubclass(kinds[f.name], Enum) else value
+        config = CmtfConfig(**settings)
         W1 = _finite_array(path, "w1", payload["w1"])
         W0 = _finite_array(path, "w0", payload["w0"])
         branches = tuple(

@@ -36,7 +36,7 @@ from .sysgen import (
     sample_for_system,
     zeroth_matrix,
 )
-from .tensor3 import Tensor3, frob_norm_sq
+from .tensor3 import Tensor3, frob_norm_sq, reconstruct
 
 __all__ = [
     "RunRecord",
@@ -211,8 +211,7 @@ def _fit_once(sys: SyntheticSystem, sample_set, config: CmtfConfig) -> dict:
     f_mat = zeroth_matrix(sys, sample_set)
     model, state = decouple(jt, f_mat, x, config)
 
-    recon = np.einsum("ir,jr,kr->ijk", state.W1, state.W0.T, state.G)
-    err_j = error_tensor(jt, recon)
+    err_j = error_tensor(jt, reconstruct(state.W1, state.W0.T, state.G))
 
     u = model.W0 @ x
     branch_vals = np.stack(

@@ -1,9 +1,10 @@
 """Dense least-squares kernels used by the alternating updates.
 
-Three solvers: plain minimum-norm least squares, a row-stacked weighted
-variant for coupled objectives, and nonnegative least squares. All operate
-on dense float matrices at desk scale; conditioning is handled by rank
-truncation rather than pivot tricks.
+Three solvers: plain minimum-norm least squares; its row-stacked variant
+for the W1 update's coupled objective, with a positive weight and one
+right-hand-side column per output; and nonnegative least squares. All
+operate on dense float matrices at desk scale; conditioning is handled by
+rank truncation rather than pivot tricks.
 """
 
 from __future__ import annotations
@@ -63,32 +64,22 @@ def lstsq(lhs: np.ndarray, rhs: np.ndarray) -> LsqResult:
 
 
 def stacked_lstsq(lhs1, rhs1, lhs2, rhs2, lam: float) -> LsqResult:
-    """Solve min ||lhs1 @ x - rhs1||^2 + lam * ||lhs2 @ x - rhs2||^2.
+    """Solve min ||lhs1 @ X - rhs1||^2 + lam * ||lhs2 @ X - rhs2||^2 for lam > 0.
 
-    Implemented by row-stacking the second block scaled by sqrt(lam). With
-    lam = 0 this degenerates to lstsq on the first block alone (handled
-    explicitly so the limit is exact, not just up to roundoff).
+    Both right-hand sides are matrices with one column per solution column.
+    Implemented by lstsq on the row stack of the first block and the second
+    block scaled by sqrt(lam).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}.")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}.")
     lhs1 = np.asarray(lhs1, dtype=float)
-    rhs1 = np.asarray(rhs1, dtype=float)
     lhs2 = np.asarray(lhs2, dtype=float)
-    rhs2 = np.asarray(rhs2, dtype=float)
     if lhs1.shape[1] != lhs2.shape[1]:
         raise ValueError(
             f"column mismatch: {lhs1.shape[1]} vs {lhs2.shape[1]}."
         )
-    if lam == 0:
-        return lstsq(lhs1, rhs1)
     root = np.sqrt(lam)
-    lhs = np.vstack([lhs1, root * lhs2])
-    rhs1m = rhs1 if rhs1.ndim == 2 else rhs1[:, None]
-    rhs2m = rhs2 if rhs2.ndim == 2 else rhs2[:, None]
-    rhs = np.vstack([rhs1m, root * rhs2m])
-    out = lstsq(lhs, rhs)
-    sol = out.solution[:, 0] if rhs1.ndim == 1 else out.solution
-    return LsqResult(solution=sol, rank=out.rank, rank_deficient=out.rank_deficient)
+    return lstsq(np.vstack([lhs1, root * lhs2]), np.vstack([rhs1, root * rhs2]))
 
 
 def nnls(

@@ -132,12 +132,9 @@ class SyntheticSystem:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Input samples plus the box and seed they were drawn from."""
+    """Input samples, one column per sample."""
 
     X: np.ndarray
-    lo: float
-    hi: float
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
@@ -173,7 +170,7 @@ def sample_uniform(m: int, count: int, lo: float, hi: float, seed: int) -> Sampl
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi}).")
     rng = np.random.default_rng(seed)
-    return SampleSet(X=rng.uniform(lo, hi, size=(m, count)), lo=lo, hi=hi, seed=seed)
+    return SampleSet(X=rng.uniform(lo, hi, size=(m, count)))
 
 
 def sample_for_system(
@@ -205,7 +202,7 @@ def sample_for_system(
             f"redrew {total_redrawn} sample(s) inside branch guard regions",
             stacklevel=2,
         )
-    return SampleSet(X=x, lo=lo, hi=hi, seed=seed)
+    return SampleSet(X=x)
 
 
 def _branch_inputs(sys: SyntheticSystem, samples) -> np.ndarray:

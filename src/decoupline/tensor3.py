@@ -1,4 +1,4 @@
-"""Dense third-order tensors: unfoldings, Khatri-Rao products, CPD assembly.
+"""Dense third-order tensors: unfoldings, Khatri-Rao products, CP reconstruction.
 
 A tensor of dimensions n x m x S is stored as a numpy array with the
 canonical flat layout: entry (i, j, k) lives at flat offset i + j*n + k*n*m,
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Tensor3",
-    "CpdFactors",
     "unfold",
     "khatri_rao",
     "reconstruct",
@@ -57,42 +56,6 @@ class Tensor3:
     def flat(self) -> np.ndarray:
         """Values in canonical flat order (first index fastest)."""
         return self.data.ravel(order="F")
-
-    def frontal_slice(self, k: int) -> np.ndarray:
-        """The n x m matrix at third index k."""
-        return self.data[:, :, k]
-
-
-@dataclass(frozen=True)
-class CpdFactors:
-    """Factor matrices (A, B, C) of a rank-r CPD, one column per component.
-
-    Frontal slice k of the represented tensor is A @ diag(C[k, :]) @ B.T.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.B, dtype=float)
-        c = np.asarray(self.C, dtype=float)
-        for name, mat in (("A", a), ("B", b), ("C", c)):
-            if mat.ndim != 2:
-                raise ValueError(f"factor {name} must be 2-d, got ndim={mat.ndim}.")
-        if not (a.shape[1] == b.shape[1] == c.shape[1]):
-            raise ValueError(
-                "factors disagree on rank: "
-                f"{a.shape[1]}, {b.shape[1]}, {c.shape[1]} columns."
-            )
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-
-    @property
-    def rank(self) -> int:
-        return self.A.shape[1]
 
 
 def _materialize(arr: np.ndarray) -> np.ndarray:
@@ -141,9 +104,13 @@ def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] * y[None, :, :]).reshape(p * q, r)
 
 
-def reconstruct(factors: CpdFactors) -> Tensor3:
-    """Assemble the full tensor from CPD factors."""
-    return Tensor3(np.einsum("ir,jr,kr->ijk", factors.A, factors.B, factors.C))
+def reconstruct(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Tensor3:
+    """The tensor of the CP factors a (n x r), b (m x r) and c (S x r).
+
+    Entry (i, j, k) is sum_r a[i, r] b[j, r] c[k, r], so frontal slice k is
+    a @ diag(c[k]) @ b.T.
+    """
+    return Tensor3(np.einsum("ir,jr,kr->ijk", a, b, c))
 
 
 def frob_norm_sq(t) -> float:

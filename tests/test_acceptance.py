@@ -43,7 +43,7 @@ from decoupline.sysgen import (
     sample_for_system,
     zeroth_matrix,
 )
-from decoupline.tensor3 import CpdFactors, Tensor3, frob_norm_sq, reconstruct, unfold
+from decoupline.tensor3 import Tensor3, frob_norm_sq, reconstruct, unfold
 
 RUNS = 30
 
@@ -279,9 +279,9 @@ def _check_normalize_invariance():
         rng.standard_normal((3, 3)),
         rng.standard_normal((20, 3)),
     )
-    before = reconstruct(CpdFactors(w1, w0.T, g))
+    before = reconstruct(w1, w0.T, g)
     nw0, nw1 = normalize_columns_w0t(w0, w1)
-    after = reconstruct(CpdFactors(nw1, nw0.T, g))
+    after = reconstruct(nw1, nw0.T, g)
     num = frob_norm_sq(before.data - after.data)
     return num <= 1e-12 * frob_norm_sq(before)
 

@@ -128,10 +128,11 @@ def test_design_row_hand_case():
 
 
 def test_design_matches_scipy_bspline():
-    basis, x = quantile_basis(seed=5, df=9, degree=3)
-    ours = design_matrix(basis, x)
-    theirs = BSpline.design_matrix(x, basis.knots, 3).toarray()
-    assert np.allclose(ours, theirs, atol=1e-12)
+    for degree in range(6):
+        basis, x = quantile_basis(seed=5, df=9, degree=degree)
+        ours = design_matrix(basis, x)
+        theirs = BSpline.design_matrix(x, basis.knots, degree).toarray()
+        assert np.allclose(ours, theirs, atol=1e-12), degree
 
 
 @settings(deadline=None, max_examples=30)
@@ -201,12 +202,13 @@ def test_derivative_needs_degree_one():
 
 
 def test_derivative_matches_scipy():
-    basis, x = quantile_basis(seed=6, df=8, degree=3)
     rng = np.random.default_rng(1)
     c = rng.standard_normal(8)
-    ours = derivative_design_matrix(basis, x) @ c
-    theirs = BSpline(basis.knots, c, 3, extrapolate=True).derivative()(x)
-    assert np.allclose(ours, theirs, atol=1e-10)
+    for degree in range(1, 6):
+        basis, x = quantile_basis(seed=6, df=8, degree=degree)
+        ours = derivative_design_matrix(basis, x) @ c
+        theirs = BSpline(basis.knots, c, degree, extrapolate=True).derivative()(x)
+        assert np.allclose(ours, theirs, atol=1e-10), degree
 
 
 # integral design matrix

@@ -332,7 +332,7 @@ def reference_projection(G, R, df, degree, x_samples, lam, representation, const
             b_mat = augment(design_matrix(basis, u), "zeros")
             btil = augment(integral_design_matrix(basis, u), "ones")
         if constraint is Constraint.NONE:
-            c = np.asarray(stacked_lstsq(b_mat, G[:, j], btil, R[:, j], lam).solution).ravel()
+            c = stacked_lstsq(b_mat, G[:, [j]], btil, R[:, [j]], lam).solution.ravel()
         else:
             root = np.sqrt(lam)
             c = _nonneg_stacked(np.vstack([b_mat, root * btil]),
@@ -600,8 +600,10 @@ def test_function_projection_falls_back_to_lstsq_per_ill_conditioned_branch(monk
     # weight of 3e160, whose square overflows the normal matrix to inf
     x[0] = np.concatenate([np.zeros(10), np.full(30, 1e-160), rng.uniform(0.5, 1, s - 40)])
     calls.clear()
+    # the gate expects that overflow, so numpy's RuntimeWarning about it must
+    # not reach the caller
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)
         out = bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 0.1, Representation.FUNCTION,
                                  Constraint.NONE)
     assert len(calls) == 1
@@ -1043,6 +1045,38 @@ def test_model_round_trip(tmp_path):
     for b_old, b_new in zip(model.branches, back.branches):
         assert np.allclose(b_new.value(u), b_old.value(u), atol=0)
         assert b_new.representation is b_old.representation
+
+
+@pytest.mark.parametrize(
+    "representation, constraint",
+    [
+        (Representation.FUNCTION, Constraint.NONE),
+        (Representation.DERIVATIVE, Constraint.MONOTONE_INCREASING),
+    ],
+    ids=["function", "derivative-increasing"],
+)
+def test_saved_model_file_round_trips_byte_for_byte(tmp_path, representation, constraint):
+    J, F, x = quadratic_fixture(seed=24)
+    cfg = CmtfConfig(rank=2, degree=2, df=5, lam=0.3, representation=representation,
+                     constraint=constraint, max_iter=5, rel_tol=1e-9, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, _ = decouple(J, F, x, cfg)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    back = load_model(first)
+    assert back.config == cfg
+    save_model(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    payload = json.loads(first.read_text())
+    assert list(payload["config"]) == ["rank", "degree", "df", "lam", "representation",
+                                       "constraint", "max_iter", "rel_tol", "seed"]
+    for key in payload["config"]:
+        cut = json.loads(first.read_text())
+        del cut["config"][key]
+        second.write_text(json.dumps(cut))
+        with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            load_model(second)
 
 
 def test_saved_model_keys_are_the_documented_ones(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from decoupline.tensor3 import (
     _read_matrix_lines,
-    CpdFactors,
     Tensor3,
     frob_norm_sq,
     khatri_rao,
@@ -43,11 +42,6 @@ def test_flat_layout_first_index_fastest():
     assert t.data[0, 1, 0] == 2.0
     assert t.data[0, 0, 1] == 6.0
     assert np.array_equal(t.flat(), np.arange(12.0))
-
-
-def test_frontal_slice_matches_indexing():
-    t = rand_tensor(3, 4, 5)
-    assert np.array_equal(t.frontal_slice(2), t.data[:, :, 2])
 
 
 @settings(deadline=None, max_examples=40)
@@ -102,7 +96,7 @@ def test_cpd_unfolding_identities(shape, r, seed):
     a = rng.standard_normal((n, r))
     b = rng.standard_normal((m, r))
     c = rng.standard_normal((s, r))
-    t = reconstruct(CpdFactors(a, b, c))
+    t = reconstruct(a, b, c)
     scale = max(1.0, np.sqrt(frob_norm_sq(t)))
     assert np.allclose(unfold(t, 1), a @ khatri_rao(c, b).T, atol=1e-12 * scale)
     assert np.allclose(unfold(t, 2), b @ khatri_rao(c, a).T, atol=1e-12 * scale)
@@ -111,17 +105,11 @@ def test_cpd_unfolding_identities(shape, r, seed):
 
 def test_reconstruct_matches_slice_formula():
     rng = np.random.default_rng(3)
-    f = CpdFactors(rng.standard_normal((3, 2)), rng.standard_normal((4, 2)),
-                   rng.standard_normal((5, 2)))
-    t = reconstruct(f)
+    a, b, c = rng.standard_normal((3, 2)), rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
+    t = reconstruct(a, b, c)
     for k in range(5):
-        expect = f.A @ np.diag(f.C[k]) @ f.B.T
-        assert np.allclose(t.frontal_slice(k), expect, atol=1e-13)
-
-
-def test_cpd_factors_rank_mismatch():
-    with pytest.raises(ValueError):
-        CpdFactors(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+        expect = a @ np.diag(c[k]) @ b.T
+        assert np.allclose(t.data[:, :, k], expect, atol=1e-13)
 
 
 def test_frob_norm_sq_brute_force():
