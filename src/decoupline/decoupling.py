@@ -43,7 +43,6 @@ __all__ = [
     "normalize_columns_w0t",
     "bspline_projection",
     "leaky_relu_fallback",
-    "objective",
     "objective_terms",
     "predict",
     "certify_monotone",
@@ -136,20 +135,23 @@ def _check_projection_args(lam, representation, constraint) -> None:
 
 @dataclass
 class FitState:
-    """Mutable state of one run: factors, sweep counter, objective history.
+    """Mutable state of one run: factors and objective history.
 
-    history rows are (objective, tensor_term, coupling_term) per sweep.
-    stop_reason is "converged", "stalled" or "budget" once the fit has
-    returned (see CmtfConfig.max_iter / rel_tol).
+    history rows are (objective, tensor_term, coupling_term) per sweep, and
+    iterations is their count. stop_reason is "converged", "stalled" or
+    "budget" once the fit has returned (see CmtfConfig.max_iter / rel_tol).
     """
 
     W1: np.ndarray
     W0: np.ndarray
     G: np.ndarray
     R: np.ndarray
-    iterations: int = 0
     history: list = field(default_factory=list)
     stop_reason: str | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,6 @@ def objective_terms(J: Tensor3, F, W1, W0, G, R) -> tuple[float, float]:
     tensor_term = frob_norm_sq(J.data - reconstruct(W1, W0.T, G).data)
     coupling_term = frob_norm_sq(np.asarray(F, dtype=float) - W1 @ R.T)
     return tensor_term, coupling_term
-
-
-def objective(J: Tensor3, F, W1, W0, G, R, lam: float) -> float:
-    """Coupled objective: tensor residual plus lam times coupling residual."""
-    tensor_term, coupling_term = objective_terms(J, F, W1, W0, G, R)
-    return tensor_term + lam * coupling_term
 
 
 def normalize_columns_w0t(W0: np.ndarray, W1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +380,8 @@ def _warn_rank(result, shape: tuple, step: str, warned: set) -> None:
     its min-norm solve is intended, so that alone does not warn."""
     if result.rank < min(shape) and step not in warned:
         warned.add(step)
-        warnings.warn(f"rank-deficient system in {step}", stacklevel=3)
+        # past _sweep and decouple, so the warning names decouple's caller
+        warnings.warn(f"rank-deficient system in {step}", stacklevel=4)
 
 
 # factor entries beyond this would overflow the squared norms formed from
@@ -408,7 +405,54 @@ def _check_diverged(name: str, arr, it: int) -> None:
         )
 
 
-def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
+def _sweep(unfoldings, F, samples, W1, W0, G, R, proj, config: CmtfConfig, warned: set, it: int):
+    """One ALS sweep of decouple; returns (W1, W0, G, R, proj).
+
+    Updates W1 (coupled fit of the mode-1 unfolding and lam*F), W0 (mode-2
+    unfolding), normalizes W0^T columns into W1, updates G (mode-3
+    unfolding) and R (fit of F against W1), then projects (G, R) onto
+    spline structure at the current branch inputs W0 @ samples, warm from
+    proj, the previous sweep's projection (None on the first sweep).
+    unfoldings holds J's mode-1, -2 and -3 unfoldings; warned collects the
+    steps that already warned of rank deficiency; it numbers the sweep in
+    divergence errors.
+    """
+    u1, u2, u3 = unfoldings
+    m, s = samples.shape
+    out = stacked_lstsq(khatri_rao(G, W0.T), u1.T, R, F.T, config.lam)
+    _warn_rank(out, (s * (m + 1), config.rank), "W1 update", warned)
+    W1 = out.solution.T
+    _check_diverged("W1", W1, it)
+
+    k2 = khatri_rao(G, W1)
+    out = lstsq(k2, u2.T)
+    _warn_rank(out, k2.shape, "W0 update", warned)
+    W0 = out.solution
+    _check_diverged("W0", W0, it)
+
+    W0, W1 = normalize_columns_w0t(W0, W1)
+
+    k3 = khatri_rao(W0.T, W1)
+    out = lstsq(k3, u3.T)
+    _warn_rank(out, k3.shape, "G update", warned)
+    G = out.solution.T
+    _check_diverged("G", G, it)
+
+    out = lstsq(W1, F)
+    _warn_rank(out, W1.shape, "R update", warned)
+    R = out.solution.T
+    _check_diverged("R", R, it)
+
+    proj = bspline_projection(
+        G, R, config.df, config.degree, W0 @ samples, config.lam, config.representation,
+        config.constraint, warm=None if proj is None else proj.coeffs,
+    )
+    _check_diverged("projected G", proj.G, it)
+    _check_diverged("projected R", proj.R, it)
+    return W1, W0, proj.G, proj.R, proj
+
+
+def decouple(J, F, samples, config: CmtfConfig):
     """Fit W1 g(W0 x) to a Jacobian tensor and zeroth-order matrix.
 
     J: n x m x S Jacobian tensor (Tensor3 or 3-d array), slice k holding
@@ -416,21 +460,15 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
     F: n x S matrix of function values at the samples.
     samples: m x S matrix of sample points.
 
-    One sweep updates W1 (coupled fit of the mode-1 unfolding and lam*F),
-    W0 (mode-2 unfolding), normalizes W0^T columns into W1, updates G
-    (mode-3 unfolding) and R (fit of F against W1), then projects (G, R)
-    onto spline structure at the current branch inputs W0 @ samples.
-
-    Stops when one sweep changes the objective by at most rel_tol times the
-    previous one ("converged"), when STALL_SWEEPS sweeps in a row bring no
-    drop of the best objective so far by more than rel_tol times that best
-    ("stalled"), or after max_iter sweeps ("budget"); the reason goes to
+    Repeats _sweep from a random start (see CmtfConfig.seed). Stops when one
+    sweep changes the objective by at most rel_tol times the previous one
+    ("converged"), when STALL_SWEEPS sweeps in a row bring no drop of the
+    best objective so far by more than rel_tol times that best ("stalled"),
+    or after max_iter sweeps ("budget"); the reason goes to
     FitState.stop_reason. The last iterate is returned, so a fit that stops
     at sweep N equals the same fit run with max_iter=N.
 
-    Returns (DecoupledModel, FitState). When a list is passed as trace, a
-    per-sweep dict of before/after subproblem values and intermediate
-    snapshots is appended to it (testing hook).
+    Returns (DecoupledModel, FitState).
     """
     if not isinstance(J, Tensor3):
         J = Tensor3(np.asarray(J, dtype=float))
@@ -456,15 +494,11 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
     R = rng.standard_normal((s, r))
     W1 = np.zeros((n, r))
 
-    u1 = unfold(J, 1)
-    u2 = unfold(J, 2)
-    u3 = unfold(J, 3)
+    unfoldings = (unfold(J, 1), unfold(J, 2), unfold(J, 3))
     warned: set = set()
     state = FitState(W1=W1, W0=W0, G=G, R=R)
     prev_obj = None
     proj = None
-    x = None
-    lam = config.lam
     stop_reason = "budget"
     best = np.inf
     last_drop = 0
@@ -475,76 +509,16 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
         if it - last_drop > STALL_SWEEPS:
             stop_reason = "stalled"
             break
-        rec = None if trace is None else {"iteration": it, "lam": lam}
-
-        if rec is not None:
-            rec["w1_before"] = objective(J, F, W1, W0, G, R, lam)
-        out = stacked_lstsq(khatri_rao(G, W0.T), u1.T, R, F.T, lam)
-        _warn_rank(out, (s * (m + 1), r), "W1 update", warned)
-        W1 = out.solution.T
-        _check_diverged("W1", W1, it)
-        if rec is not None:
-            rec["w1_after"] = objective(J, F, W1, W0, G, R, lam)
-            rec["w1"] = W1.copy()
-
-        k2 = khatri_rao(G, W1)
-        if rec is not None:
-            rec["w0_before"] = frob_norm_sq(u2.T - k2 @ W0)
-        out = lstsq(k2, u2.T)
-        _warn_rank(out, k2.shape, "W0 update", warned)
-        W0 = out.solution
-        _check_diverged("W0", W0, it)
-        if rec is not None:
-            rec["w0_after"] = frob_norm_sq(u2.T - k2 @ W0)
-
-        W0, W1 = normalize_columns_w0t(W0, W1)
-
-        k3 = khatri_rao(W0.T, W1)
-        if rec is not None:
-            rec["g_before"] = frob_norm_sq(u3.T - k3 @ G.T)
-        out = lstsq(k3, u3.T)
-        _warn_rank(out, k3.shape, "G update", warned)
-        G = out.solution.T
-        _check_diverged("G", G, it)
-        if rec is not None:
-            rec["g_after"] = frob_norm_sq(u3.T - k3 @ G.T)
-
-        if rec is not None:
-            rec["r_before"] = frob_norm_sq(F - W1 @ R.T)
-        out = lstsq(W1, F)
-        _warn_rank(out, W1.shape, "R update", warned)
-        R = out.solution.T
-        _check_diverged("R", R, it)
-        if rec is not None:
-            rec["r_after"] = frob_norm_sq(F - W1 @ R.T)
-
-        x = W0 @ samples
-        if rec is not None:
-            rec["proj_g_before"] = G.copy()
-            rec["proj_r_before"] = R.copy()
-            rec["x"] = x.copy()
-        proj = bspline_projection(
-            G, R, config.df, config.degree, x, lam, config.representation, config.constraint,
-            warm=None if proj is None else proj.coeffs,
-        )
-        G, R = proj.G, proj.R
-        _check_diverged("projected G", G, it)
-        _check_diverged("projected R", R, it)
-        if rec is not None:
-            rec["projection"] = proj
+        W1, W0, G, R, proj = _sweep(unfoldings, F, samples, W1, W0, G, R, proj, config, warned, it)
 
         tensor_term, coupling_term = objective_terms(J, F, W1, W0, G, R)
-        obj = tensor_term + lam * coupling_term
+        obj = tensor_term + config.lam * coupling_term
         if not np.isfinite(obj):
             raise RuntimeError(
                 f"non-finite objective at iteration {it}: "
                 f"tensor_term={tensor_term}, coupling_term={coupling_term}."
             )
         state.history.append((obj, tensor_term, coupling_term))
-        state.iterations = it + 1
-        if rec is not None:
-            rec["objective"] = obj
-            trace.append(rec)
 
         if prev_obj is not None and (
             prev_obj == 0 or abs(prev_obj - obj) <= config.rel_tol * prev_obj
@@ -557,7 +531,7 @@ def decouple(J, F, samples, config: CmtfConfig, trace: list | None = None):
                 last_drop = it
             best = obj
 
-    branches, G, R = _assemble_branches(proj, G, R, x, lam, config)
+    branches, G, R = _assemble_branches(proj, G, R, W0 @ samples, config.lam, config)
     state.W1, state.W0, state.G, state.R = W1, W0, G, R
     state.stop_reason = stop_reason
     model = DecoupledModel(W1=W1.copy(), W0=W0.copy(), branches=branches, config=config)

@@ -286,20 +286,23 @@ def _check_normalize_invariance():
     return num <= 1e-12 * frob_norm_sq(before)
 
 
-def _check_substep_descent():
+def _check_substep_descent(fit_calls):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         J = Tensor3(rng.standard_normal((3, 2, 25)))
         F = rng.standard_normal((3, 25))
         x = rng.uniform(-1, 1, (2, 25))
         cfg = CmtfConfig(rank=2, degree=2, df=5, seed=seed, max_iter=3)
-        trace = []
+        fit_calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            decouple(J, F, x, cfg, trace=trace)
-        for rec in trace:
-            for step in ("w1", "w0", "g", "r"):
-                if rec[f"{step}_after"] > rec[f"{step}_before"] + 1e-9:
+            _, state = decouple(J, F, x, cfg)
+        costs = fit_calls.step_costs(cfg, 2, 25)
+        if len(costs) != state.iterations:
+            return False
+        for sweep in costs:
+            for before, after in sweep.values():
+                if after > before + 1e-9:
                     return False
     return True
 
@@ -324,7 +327,7 @@ def _check_jacobian_fd():
     return True
 
 
-def test_criterion_6_numerical_properties():
+def test_criterion_6_numerical_properties(fit_calls):
     checks = {
         "unfoldings": _check_unfoldings,
         "partition-of-unity": _check_partition_of_unity,
@@ -332,7 +335,7 @@ def test_criterion_6_numerical_properties():
         "integral-quadrature": _check_integral_quadrature,
         "nnls-kkt": _check_nnls_kkt,
         "normalize-invariance": _check_normalize_invariance,
-        "substep-descent": _check_substep_descent,
+        "substep-descent": lambda: _check_substep_descent(fit_calls),
         "jacobian-fd": _check_jacobian_fd,
     }
     results = {name: fn() for name, fn in checks.items()}

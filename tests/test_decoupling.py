@@ -29,7 +29,6 @@ from decoupline.decoupling import (
     leaky_relu_fallback,
     load_model,
     normalize_columns_w0t,
-    objective,
     objective_terms,
     predict,
     save_model,
@@ -119,7 +118,8 @@ def test_objective_brute_force():
         for k in range(s):
             recon = sum(W1[i, q] * R[k, q] for q in range(r))
             total += lam * (F[i, k] - recon) ** 2
-    assert objective(J, F, W1, W0, G, R, lam) == pytest.approx(total, rel=1e-12)
+    tensor_term, coupling_term = objective_terms(J, F, W1, W0, G, R)
+    assert tensor_term + lam * coupling_term == pytest.approx(total, rel=1e-12)
 
 
 def test_objective_zero_w1():
@@ -127,9 +127,10 @@ def test_objective_zero_w1():
     J = Tensor3(rng.standard_normal((2, 2, 3)))
     F = rng.standard_normal((2, 3))
     lam = 0.7
-    val = objective(J, F, np.zeros((2, 2)), np.ones((2, 2)), np.ones((3, 2)),
-                    np.ones((3, 2)), lam)
-    assert val == pytest.approx(frob_norm_sq(J) + lam * frob_norm_sq(F), rel=1e-12)
+    tensor_term, coupling_term = objective_terms(J, F, np.zeros((2, 2)), np.ones((2, 2)),
+                                                 np.ones((3, 2)), np.ones((3, 2)))
+    want = frob_norm_sq(J) + lam * frob_norm_sq(F)
+    assert tensor_term + lam * coupling_term == pytest.approx(want, rel=1e-12)
 
 
 # normalization
@@ -545,17 +546,16 @@ def _counting_lstsq(monkeypatch):
     return calls
 
 
-def test_function_projection_solves_well_conditioned_branches_without_lstsq(monkeypatch):
+def test_function_projection_solves_well_conditioned_branches_without_lstsq(monkeypatch, fit_calls):
     # every projection of the first 30 sweeps of a trig fit (seed 1, df 16)
-    trace = []
     system = builtin_trig()
     samples = sample_uniform(2, 100, -1.5, 1.5, 1)
     cfg = CmtfConfig(rank=3, degree=3, df=16, lam=0.01, seed=1, max_iter=30, rel_tol=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         decouple(jacobian_tensor(system, samples.X), zeroth_matrix(system, samples.X),
-                 samples.X, cfg, trace=trace)
-    inputs = [(rec["proj_g_before"], rec["proj_r_before"], 16, 3, rec["x"], 0.01) for rec in trace]
+                 samples.X, cfg)
+    inputs = [args[:6] for args, _ in fit_calls.of("bspline_projection")]
     # and the S = 2000 reference case
     rng = np.random.default_rng(2000)
     G = rng.standard_normal((2000, 3)) + 0.5
@@ -613,17 +613,16 @@ def test_function_projection_falls_back_to_lstsq_per_ill_conditioned_branch(monk
 # the ALS loop
 
 
-def test_single_sweep_w1_matches_replayed_update():
+def test_single_sweep_w1_matches_replayed_update(fit_calls):
     rng = np.random.default_rng(7)
     s = 10
     J = Tensor3(rng.standard_normal((2, 2, s)))
     F = rng.standard_normal((2, s))
     x = rng.uniform(-1, 1, (2, s))
     cfg = CmtfConfig(rank=2, degree=2, df=4, seed=123, max_iter=1, lam=0.1)
-    trace = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        decouple(J, F, x, cfg, trace=trace)
+        decouple(J, F, x, cfg)
     # replay the first W1 update from the recorded initial state
     from decoupline.tensor3 import khatri_rao, unfold
 
@@ -632,27 +631,61 @@ def test_single_sweep_w1_matches_replayed_update():
     G = rng2.standard_normal((s, 2))
     R = rng2.standard_normal((s, 2))
     expect = stacked_lstsq(khatri_rao(G, W0.T), unfold(J, 1).T, R, F.T, 0.1).solution.T
-    assert np.allclose(trace[0]["w1"], expect, atol=1e-12)
+    # the W1 the sweep went on with, as normalize_columns_w0t received it
+    [((_, w1), _)] = fit_calls.of("normalize_columns_w0t")
+    assert np.allclose(w1, expect, atol=1e-12)
+
+
+def test_each_sweep_makes_its_calls_in_the_order_the_benchmark_reads(fit_calls):
+    # perfbench/layers.py::_sweep_split times the W1, W0, G and R solves by
+    # their position in this sequence, so a reorder would misattribute them
+    J, F, x = small_random_problem(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        decouple(J, F, x, CmtfConfig(rank=2, degree=2, df=5, seed=0, max_iter=2))
+    sweep = [
+        "khatri_rao", "stacked_lstsq",
+        "khatri_rao", "lstsq",
+        "normalize_columns_w0t",
+        "khatri_rao", "lstsq",
+        "lstsq",
+        "bspline_projection",
+        "objective_terms",
+    ]
+    assert [name for name, _, _ in fit_calls] == sweep * 2
+
+
+def test_rank_warning_names_the_caller_of_decouple():
+    # the README's constrained example on trig data: its G update turns
+    # rank-deficient within 60 sweeps
+    system = builtin_trig()
+    samples = sample_for_system(system, 100, -1.5, 1.5, 0)
+    cfg = CmtfConfig(rank=3, degree=3, df=16, max_iter=60, representation=Representation.DERIVATIVE,
+                     constraint=Constraint.MONOTONE_INCREASING)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decouple(jacobian_tensor(system, samples), zeroth_matrix(system, samples), samples.X, cfg)
+    rank = [w for w in caught if str(w.message) == "rank-deficient system in G update"]
+    assert len(rank) == 1
+    assert rank[0].filename == __file__
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_substeps_never_increase_their_objectives(seed):
+def test_substeps_never_increase_their_objectives(seed, fit_calls):
     J, F, x = small_random_problem(seed)
     cfg = CmtfConfig(rank=2, degree=2, df=5, seed=seed, max_iter=3, lam=0.1)
-    trace = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        decouple(J, F, x, cfg, trace=trace)
-    for rec in trace:
-        assert rec["w1_after"] <= rec["w1_before"] + 1e-9
-        assert rec["w0_after"] <= rec["w0_before"] + 1e-9
-        assert rec["g_after"] <= rec["g_before"] + 1e-9
-        assert rec["r_after"] <= rec["r_before"] + 1e-9
+        _, state = decouple(J, F, x, cfg)
+    costs = fit_calls.step_costs(cfg, *x.shape)
+    assert len(costs) == state.iterations
+    for sweep in costs:
+        for before, after in sweep.values():
+            assert after <= before + 1e-9
+    for args, proj in fit_calls.of("bspline_projection"):
         # projection: fitted coefficients beat the pre-projection columns
         # on the stacked objective by construction; spot-check via cost
-        proj = rec["projection"]
-        g_pre, r_pre = rec["proj_g_before"], rec["proj_r_before"]
-        lam = rec["lam"]
+        g_pre, r_pre, lam = args[0], args[1], args[5]
         for j in range(2):
             if proj.fallback[j]:
                 continue
@@ -929,7 +962,7 @@ def test_predict_reproduces_final_coupling_product():
     assert np.allclose(pred, model.W1 @ state.R.T, atol=1e-10)
 
 
-def test_fit_ending_on_the_fallback_refits_a_monotone_branch():
+def test_fit_ending_on_the_fallback_refits_a_monotone_branch(fit_calls):
     # a rank-1 strictly decreasing branch under MONOTONE_INCREASING: seed 1's
     # random start makes the one sweep's NNLS return all zeros, so the fit
     # ends on the leaky-ReLU fallback and the end-of-fit refit stores a spline
@@ -943,11 +976,11 @@ def test_fit_ending_on_the_fallback_refits_a_monotone_branch():
     cfg = CmtfConfig(rank=1, degree=3, df=6, lam=0.1, max_iter=1, seed=1,
                      representation=Representation.DERIVATIVE,
                      constraint=Constraint.MONOTONE_INCREASING)
-    trace = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model, state = decouple(J, F, x, cfg, trace=trace)
-    assert trace[-1]["projection"].fallback == (True,)
+        model, state = decouple(J, F, x, cfg)
+    last_args, last = fit_calls.of("bspline_projection")[-1]
+    assert last.fallback == (True,)
     coeffs = model.branches[0].coeffs
     assert np.all(coeffs[1:] >= 0)
     assert np.any(coeffs[1:] > 0)
@@ -956,7 +989,7 @@ def test_fit_ending_on_the_fallback_refits_a_monotone_branch():
     # final R agree on the training samples
     want = model.W1 @ state.R.T
     assert _close(predict(model, x), want, rtol=1e-12)
-    assert not np.allclose(state.R[:, 0], leaky_relu_fallback(trace[-1]["x"][0])[1])
+    assert not np.allclose(state.R[:, 0], leaky_relu_fallback(last_args[4][0])[1])
 
 
 def test_predict_rejects_non_finite_inputs():
