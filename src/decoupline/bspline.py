@@ -6,10 +6,12 @@ of freedom and degree d carries df + d + 1 knots. Design matrices evaluate
 the df basis functions at given points; companion matrices evaluate their
 derivatives and running integrals in the same coefficient space, so a single
 coefficient vector can be read at the function level and at the derivative
-level consistently. All three are blocks of one dense builder, _dense_pair,
-which also writes the spline projection's stacked systems. SplineFunction
-evaluates without them: each point reads only the few basis functions alive
-on its knot span.
+level consistently. A derivative has one formula: the degree d-1 basis of
+the same knots times the knot-difference map of _derivative_map. The dense
+builder _dense_pair writes the derivative representation's systems, and
+_normal_fit solves the function representation's from span windows.
+SplineFunction evaluates without design matrices: each point reads only the
+few basis functions alive on its knot span.
 
 Conventions that matter downstream:
   * right boundary is closed, the last basis function equals 1 at the domain
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .solvers import RANK_RCOND
 
 __all__ = [
     "Representation",
@@ -232,30 +236,23 @@ def _local_basis(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray, b
     return lower, vals
 
 
-def _derivative_window(t: np.ndarray, degree: int, spans: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """First derivatives of the degree+1 basis functions alive on each span.
+def _derivative_map(t: np.ndarray, degree: int) -> np.ndarray:
+    """(rows, df + 1, df) map from a degree-d spline's coefficients to its derivative's.
 
-    Uses the lower-degree recurrence B'_l = w_l B_{l,d-1} - w_{l+1} B_{l+1,d-1}
-    with w_l = d / (t_{l+d} - t_l), zero where the knot span is empty; lower
-    is the degree d-1 level from _local_basis, and the result is level-major
-    like it.
+    B'_l = w_l B_{l,d-1} - w_{l+1} B_{l+1,d-1} with w_l = d / (t_{l+d} - t_l)
+    for l = 0..df, 0 on an empty span (de Boor), so column l holds w_l in row
+    l and -w_{l+1} in row l + 1. The derivative design matrix of knot row i
+    is the degree d-1 design matrix of the same knots (df + 1 functions,
+    the first and last identically zero on clamped knots) times map[i].
     """
-    w = _derivative_weights(t, degree)
-    cols = spans - degree + np.arange(degree + 2).reshape((-1,) + (1,) * spans.ndim)
-    w = w[np.arange(t.shape[0])[:, None], cols]
-    padded = np.zeros((degree + 2,) + lower.shape[1:])
-    padded[1:-1] = lower
-    return padded[:-1] * w[:-1] - padded[1:] * w[1:]
-
-
-def _derivative_weights(t: np.ndarray, degree: int) -> np.ndarray:
-    """w_l = d / (t_{l+d} - t_l) for l = 0..df on each knot row, 0 on an empty span.
-
-    B'_l = w_l B_{l,d-1} - w_{l+1} B_{l+1,d-1}, so these weights map the
-    coefficients of a degree-d spline to those of its derivative.
-    """
+    rows, df = t.shape[0], t.shape[1] - degree - 1
     gaps = t[:, degree:] - t[:, : t.shape[1] - degree]
-    return np.where(gaps > 0, degree / np.where(gaps > 0, gaps, 1.0), 0.0)
+    w = np.where(gaps > 0, degree / np.where(gaps > 0, gaps, 1.0), 0.0)
+    out = np.zeros((rows, df + 1, df))
+    col = np.arange(df)
+    out[:, col, col] = w[:, :df]
+    out[:, col + 1, col] = -w[:, 1:]
+    return out
 
 
 def _window_gram(win: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
@@ -344,60 +341,52 @@ def _row_spans(t: np.ndarray, degree: int, u: np.ndarray) -> np.ndarray:
     return np.stack([_find_spans(k, degree, p) for k, p in zip(t, u)])
 
 
-def _dense_pair(t: np.ndarray, degree: int, u: np.ndarray, representation: Representation):
-    """Augmented design pair [0 | B] and [1 | Btil] of every row, each (rows, S, df + 1).
+def _dense_pair(t: np.ndarray, degree: int, u: np.ndarray):
+    """Derivative-representation design pair [0 | B] and [1 | Btil] of every row, each (rows, S, df + 1).
 
-    Row i is one branch: the points u[i] on the knot vector t[i]. B is the
-    derivative level and Btil the function level of a branch whose spline
-    has the given degree under the representation, so both read the one
-    coefficient vector [c0, c1..df]; the leading column carries the free
-    constant. One recursion gives both levels. FUNCTION: Btil is the
-    degree-d level and B comes from its degree d-1 level. DERIVATIVE: B is
-    the degree-d level and Btil, the integral, needs the degree d+1 level.
+    Row i is one branch: the points u[i] on the knot vector t[i]. B holds
+    the degree-d basis values (the spline is g') and Btil their running
+    integrals (g), so both read the one coefficient vector [c0, c1..df];
+    the leading column carries g's integration constant. One recursion
+    gives both levels: the integral needs the degree d+1 level.
     """
     rows, df = t.shape[0], t.shape[1] - degree - 1
     spans = _row_spans(t, degree, u)
     b_mat = np.zeros((rows, u.shape[1], df + 1))
     btil = np.zeros_like(b_mat)
     btil[..., 0] = 1.0
-    if representation is Representation.FUNCTION:
-        lower, vals = _local_basis(t, degree, spans, u, below=True)
-        _scatter(b_mat[..., 1:], _derivative_window(t, degree, spans, lower), spans, degree)
-        _scatter(btil[..., 1:], vals, spans, degree)
-    else:
-        vals, higher = _local_basis(t, degree + 1, spans, u, below=True)
-        _scatter(b_mat[..., 1:], vals, spans, degree)
-        _integral_into(btil[..., 1:], higher, spans, t, degree)
+    vals, higher = _local_basis(t, degree + 1, spans, u, below=True)
+    _scatter(b_mat[..., 1:], vals, spans, degree)
+    _integral_into(btil[..., 1:], higher, spans, t, degree)
     return b_mat, btil
 
 
 # Largest kappa(A) a FUNCTION branch may have and still be solved from its
 # normal equations: those square kappa, so at this bound they keep about
 # eight of the sixteen digits. A branch above it (coincident knots leaving a
-# basis function with no samples, say) is solved densely by lstsq instead.
+# basis function with no samples, say) is solved by lstsq instead.
 _NORMAL_KAPPA_MAX = 1e4
 
 
 def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
-    """FUNCTION-representation fit of rows of (g, r) with c0 = 0, from normal equations.
+    """FUNCTION-representation fit of rows of (g, r) with c0 = 0.
 
     Row i is one branch: samples g[i] of g' and r[i] of g at the points
     u[i] on the knot vector t[i]. With A = [B; sqrt(lam) Btil] the stacked
     design of B = derivative design matrix and Btil = design matrix, the
     normal matrix is B^T B + lam Btil^T Btil. Btil^T Btil is the banded
-    Gram of the degree-d windows; B = D W, with D the degree d-1 design
-    matrix and W the (df+1) x df knot-difference map of
-    _derivative_weights, so B^T B = W^T (D^T D) W. Neither B nor Btil is
-    formed.
+    Gram of the degree-d windows; B = D M, with D the degree d-1 design
+    matrix and M the map of _derivative_map, so B^T B = M^T (D^T D) M.
 
-    A row is solved when the eigenvalues of its normal matrix put kappa(A)
-    at or below _NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
-    _NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test). One
-    batched Cholesky factors those rows only.
+    A row is solved from its normal equations when their eigenvalues put
+    kappa(A) at or below _NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
+    _NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test); one
+    batched Cholesky factors those rows, and neither B nor Btil is formed.
+    Each other row scatters its windows into A and takes its min-norm
+    lstsq solution.
 
-    Returns (solved, c, g_fit, r_fit): c[i] the df spline coefficients,
-    g_fit[i] and r_fit[i] the fitted samples. Rows with solved[i] False
-    get zeros in c and their other outputs are meaningless.
+    Returns (c, g_fit, r_fit): c[i] the df spline coefficients, g_fit[i]
+    and r_fit[i] the fitted samples.
     """
     rows, df = t.shape[0], t.shape[1] - degree - 1
     spans = _row_spans(t, degree, u)
@@ -405,11 +394,7 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     first = spans - degree
     # the degree d-1 window of the same span starts one basis function later
     first_lower = first + 1
-    w = _derivative_weights(t, degree)
-    diff = np.zeros((rows, df + 1, df))
-    col = np.arange(df)
-    diff[:, col, col] = w[:, :df]
-    diff[:, col + 1, col] = -w[:, 1:]
+    diff = _derivative_map(t, degree)
     diff_t = np.swapaxes(diff, 1, 2)
     # a knot gap so narrow that its derivative weight squares past the float
     # range overflows its row's normal matrix; the gate below sends that row
@@ -429,9 +414,15 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
         lo = np.linalg.cholesky(normal[solved])
         c[solved] = np.linalg.solve(np.swapaxes(lo, 1, 2), np.linalg.solve(lo, rhs[solved]))
     c = c[..., 0]
+    root = np.sqrt(lam)
+    for i in np.flatnonzero(~solved):
+        b_mat = _scatter(np.zeros((u.shape[1], df + 1)), lower[:, i], spans[i], degree - 1) @ diff[i]
+        btil = _scatter(np.zeros((u.shape[1], df)), vals[:, i], spans[i], degree)
+        a = np.vstack([b_mat, root * btil])
+        c[i] = np.linalg.lstsq(a, np.concatenate([g[i], root * r[i]]), rcond=RANK_RCOND)[0]
     g_fit = _window_values(lower, first_lower, (diff @ c[..., None])[..., 0])
     r_fit = _window_values(vals, first, c)
-    return solved, c, g_fit, r_fit
+    return c, g_fit, r_fit
 
 
 # Points per block of span-local evaluation: each of a block's work arrays
@@ -446,44 +437,36 @@ def _span_local(basis: SplineBasis, cs: np.ndarray, u, order: int) -> np.ndarray
     order 0 reads the basis functions, 1 their first derivatives and -1
     their running integrals from the left end of the domain; the dense
     design_matrix, derivative_design_matrix and integral_design_matrix
-    products are the reference. Each point touches only the window of
-    basis functions alive on its span: degree+1 of them, or degree+2 of
-    the degree-(d+1) level for the integral, whose weights are the prefix
-    sums of cs[j] * (t_{j+d+1} - t_j)/(d+1) (the integral of B_j is that
-    step times the sum of the higher-level functions past j). The points
-    are taken _BLOCK at a time.
+    products are the reference. Each point reads one plain window of basis
+    values, dotted by _window_values with weights mapped from cs: degree+1
+    values weighted by cs itself; for the derivative, the degree values of
+    the degree d-1 level, weighted by _derivative_map times cs; for the
+    integral, the degree+2 values of the degree d+1 level, weighted by the
+    prefix sums of cs[j] * (t_{j+d+1} - t_j)/(d+1) (the integral of B_j is
+    that step times the sum of the higher-level functions past j). The
+    points are taken _BLOCK at a time.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    t, d = basis.knots, basis.degree
+    t, d = basis.knots[None, :], basis.degree
     if order == 1 and d < 1:
         raise ValueError("derivative needs degree >= 1.")
     weights = cs
-    if order == -1:
-        weights = np.concatenate([[0.0], np.cumsum(cs * _integral_steps(t, d, basis.df))])
-    points = u.reshape(-1)
+    if order == 1:
+        weights = _derivative_map(t, d)[0] @ cs
+    elif order == -1:
+        weights = np.concatenate([[0.0], np.cumsum(cs * _integral_steps(t[0], d, basis.df))])
+    # the degree d-1 window of a span starts one basis function later
+    shift = 1 if order == 1 else 0
+    points = u.reshape(1, -1)
     out = np.empty(points.size)
     for start in range(0, points.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[block] = _window_dot(t, d, weights, points[block], order)
+        block = points[:, start : start + _BLOCK]
+        # one knot row: _find_spans directly, without _row_spans' stacked copy
+        spans = _find_spans(t[0], d, block[0])[None, :]
+        # a derivative reads the level one degree down, an integral one up
+        _, window = _local_basis(t, d - order, spans, block)
+        out[start : start + _BLOCK] = _window_values(window, spans - (d - shift), weights[None, :])[0]
     return out.reshape(u.shape)
-
-
-def _window_dot(t: np.ndarray, d: int, weights: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """One block of _span_local: the window values at the 1-D points u dotted with weights."""
-    spans = _find_spans(t, d, u)
-    # a derivative reads the level one degree down, an integral one up
-    _, window = _local_basis(t[None, :], d - order, spans[None, :], u[None, :])
-    if order == 1:
-        window = _derivative_window(t[None, :], d, spans[None, :], window)
-    first = spans - d
-    # even and odd window positions are summed apart and then added: the
-    # order in which a dense dot product with 4 or 8 SIMD lanes adds the
-    # same nonzero products when the window is at most 4 wide, so such
-    # products with the design matrices agree with this one bit for bit
-    sums = np.zeros((2,) + u.shape)
-    for r in range(window.shape[0]):
-        sums[r % 2] += window[r, 0] * weights[first + r]
-    return sums[0] + sums[1]
 
 
 def _points(u) -> np.ndarray:
@@ -494,32 +477,32 @@ def _points(u) -> np.ndarray:
 def design_matrix(basis: SplineBasis, u) -> np.ndarray:
     """S x df matrix of basis function values at the points u.
 
-    The B block of the DERIVATIVE pair of _dense_pair without its constant
-    column; that pair also exists at degree 0.
+    The B block of _dense_pair without its constant column; that pair also
+    exists at degree 0.
     """
-    b_mat, _ = _dense_pair(basis.knots[None, :], basis.degree, _points(u), Representation.DERIVATIVE)
+    b_mat, _ = _dense_pair(basis.knots[None, :], basis.degree, _points(u))
     return b_mat[0, :, 1:]
 
 
 def derivative_design_matrix(basis: SplineBasis, u) -> np.ndarray:
     """S x df matrix of first-derivative values of the basis functions.
 
-    Needs degree >= 1. The B block of the FUNCTION pair of _dense_pair
-    without its constant column; see _derivative_window for the recurrence.
+    Needs degree >= 1. The degree d-1 design matrix of the same knots
+    times _derivative_map.
     """
     if basis.degree < 1:
         raise ValueError("derivative needs degree >= 1.")
-    b_mat, _ = _dense_pair(basis.knots[None, :], basis.degree, _points(u), Representation.FUNCTION)
-    return b_mat[0, :, 1:]
+    t = basis.knots[None, :]
+    lower, _ = _dense_pair(t, basis.degree - 1, _points(u))
+    return lower[0, :, 1:] @ _derivative_map(t, basis.degree)[0]
 
 
 def integral_design_matrix(basis: SplineBasis, u) -> np.ndarray:
     """S x df matrix of running integrals int_{t_min}^{u} B_j.
 
-    The Btil block of the DERIVATIVE pair of _dense_pair without its
-    constant column.
+    The Btil block of _dense_pair without its constant column.
     """
-    _, btil = _dense_pair(basis.knots[None, :], basis.degree, _points(u), Representation.DERIVATIVE)
+    _, btil = _dense_pair(basis.knots[None, :], basis.degree, _points(u))
     return btil[0, :, 1:]
 
 

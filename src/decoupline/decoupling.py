@@ -74,7 +74,8 @@ class CmtfConfig:
     rank: number of branch functions r.
     degree: polynomial degree d of the branch functions.
     df: degrees of freedom (basis functions) per branch.
-    lam: coupling weight on the zeroth-order term, fixed for the whole fit.
+    lam: coupling weight on the zeroth-order term, positive and finite,
+        fixed for the whole fit.
     representation: FUNCTION fits the spline to g, DERIVATIVE to g'.
     constraint: MONOTONE_INCREASING forces nonnegative spline coefficients
         (derivative representation only, where that means g' >= 0).
@@ -108,8 +109,8 @@ class CmtfConfig:
             )
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}.")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}.")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}.")
         if not isinstance(self.representation, Representation):
             raise ValueError(f"bad representation {self.representation!r}.")
         if not isinstance(self.constraint, Constraint):
@@ -118,10 +119,10 @@ class CmtfConfig:
 
 
 def _check_projection_args(lam, representation, constraint) -> None:
-    """Reject a coupling weight that is not positive, and a constraint the
-    representation cannot express."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}.")
+    """Reject a coupling weight that is not positive and finite, and a
+    constraint the representation cannot express."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}.")
     if (
         constraint is Constraint.MONOTONE_INCREASING
         and representation is not Representation.DERIVATIVE
@@ -170,10 +171,8 @@ class ProjectionResult:
 
     coeffs[j] is the df+1 coefficient vector [c0, c1..df] of branch j, or
     None when the fallback replaced that branch this sweep. A collapsed
-    branch has only c0. A FUNCTION branch solved from its normal equations
-    has c0 = 0 (the spline block carries the constant); one whose kappa(A)
-    failed the eigenvalue gate of bspline._normal_fit took the dense lstsq
-    path instead and may carry part of its constant in c0.
+    branch has only c0; every other FUNCTION branch has c0 = 0 (the spline
+    block carries the constant).
     knots[j] is its knot vector and bases[j] its SplineBasis, built from
     knots and degree (the basis degree, one less than the branch degree
     under DERIVATIVE) when first read.
@@ -297,17 +296,18 @@ def bspline_projection(
 
     * a collapsed input row (zero or float-coincident spread) gets the best
       constant, in c0;
-    * under FUNCTION, every branch is solved at once from its banded normal
-      equations with the free constant dropped (c0 = 0; the basis sums to
-      one, so that column only repeated the spline block's constant); see
-      bspline._normal_fit;
-    * every other branch, and each FUNCTION branch whose normal matrix has
-      kappa(A) above bspline._NORMAL_KAPPA_MAX, is written into the stacked
-      system [B; sqrt(lam) Btil] of bspline._dense_pair, with the constant
-      column, and solved alone by _dense_solve: by lstsq (the min-norm
-      solution where it is rank-deficient), or under MONOTONE_INCREASING by
-      NNLS on the spline block. If NNLS returns all zeros the branch is replaced by leaky ReLU
-      samples for this sweep instead (coeffs entry None).
+    * under FUNCTION, every branch is solved by bspline._normal_fit with
+      the free constant dropped (c0 = 0; the basis sums to one, so that
+      column only repeated the spline block's constant): from its banded
+      normal equations, or by lstsq when its kappa(A) is above
+      bspline._NORMAL_KAPPA_MAX;
+    * under DERIVATIVE, every branch is written into the stacked system
+      [B; sqrt(lam) Btil] of bspline._dense_pair, with the constant column
+      (g's integration constant), and solved alone by _dense_solve: by
+      lstsq (the min-norm solution where it is rank-deficient), or under
+      MONOTONE_INCREASING by NNLS on the spline block. If NNLS returns all
+      zeros the branch is replaced by leaky ReLU samples for this sweep
+      instead (coeffs entry None).
 
     warm, when given, is the coeffs of the previous projection: each
     constrained branch starts its NNLS from its own previous coefficients
@@ -315,8 +315,8 @@ def bspline_projection(
     on its start beyond the free set it ends on (see solvers.nnls), so
     this only saves solves; the unconstrained arm ignores warm.
 
-    lam <= 0 and MONOTONE_INCREASING under FUNCTION are rejected with
-    CmtfConfig's messages: no fit sends them.
+    A lam that is not positive and finite, and MONOTONE_INCREASING under
+    FUNCTION, are rejected with CmtfConfig's messages: no fit sends them.
     """
     _check_projection_args(lam, representation, constraint)
     G = np.array(G, dtype=float)
@@ -348,17 +348,15 @@ def bspline_projection(
         t = _sorted_knots(xs[live], df, basis_degree)
         knots[live] = t
         u = x[live]
-        dense = np.arange(live.size)
         if representation is Representation.FUNCTION:
-            solved, c, g_fit, r_fit = _normal_fit(t, basis_degree, u, G[:, live].T, R[:, live].T, lam)
-            G[:, live[solved]] = g_fit[solved].T
-            R[:, live[solved]] = r_fit[solved].T
-            for i in np.flatnonzero(solved):
-                coeffs[live[i]] = np.concatenate([[0.0], c[i]])
-            dense = np.flatnonzero(~solved)
-        if dense.size:
-            b_mats, btils = _dense_pair(t[dense], basis_degree, u[dense], representation)
-            for j, b_mat, btil in zip(live[dense], b_mats, btils):
+            c, g_fit, r_fit = _normal_fit(t, basis_degree, u, G[:, live].T, R[:, live].T, lam)
+            G[:, live] = g_fit.T
+            R[:, live] = r_fit.T
+            for j, cj in zip(live, c):
+                coeffs[j] = np.concatenate([[0.0], cj])
+        else:
+            b_mats, btils = _dense_pair(t, basis_degree, u)
+            for j, b_mat, btil in zip(live, b_mats, btils):
                 c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, constraint,
                                  None if warm is None else warm[j])
                 if constraint is not Constraint.NONE and np.all(c[1:] == 0):
@@ -551,7 +549,7 @@ def _assemble_branches(proj: ProjectionResult, G, R, x, lam, config: CmtfConfig)
     branches = []
     for j, (c, basis, fb) in enumerate(zip(proj.coeffs, proj.bases, proj.fallback)):
         if fb:
-            (b_mat,), (btil,) = _dense_pair(proj.knots[j : j + 1], proj.degree, x[j : j + 1], config.representation)
+            (b_mat,), (btil,) = _dense_pair(proj.knots[j : j + 1], proj.degree, x[j : j + 1])
             c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, config.constraint)
             G[:, j] = b_mat @ c
             R[:, j] = btil @ c
@@ -643,19 +641,29 @@ def save_model(model: DecoupledModel, path) -> None:
         fh.write("\n")
 
 
-def _finite_array(path, field: str, values) -> np.ndarray:
+def _finite_array(field: str, values) -> np.ndarray:
     """values as a float array; a NaN or infinite entry rejects the file."""
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"malformed model file {path}: non-finite value in {field}.")
+        raise ValueError(f"non-finite value in {field}.")
     return arr
+
+
+def _json_number(field: str, value, kind: type):
+    """value if the file holds it as a kind (an int counts as a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        want = "a number" if kind is float else "an integer"
+        raise ValueError(f"{field} must be {want}, got {value!r}.")
+    return value
 
 
 def load_model(path) -> DecoupledModel:
     """Read a save_model file back, rejecting non-finite or mismatched factors.
 
-    Keys the reader does not use (the dims block, config keys written by
-    older versions) are ignored.
+    Every field the reader cannot take (missing, of the wrong type, or
+    rejected by CmtfConfig, SplineBasis or SplineFunction) fails with a
+    "malformed model file" error. Keys the reader does not use (the dims
+    block, config keys written by older versions) are ignored.
     """
     try:
         with open(path) as fh:
@@ -667,25 +675,27 @@ def load_model(path) -> DecoupledModel:
         kinds = typing.get_type_hints(CmtfConfig)
         settings = {}
         for f in fields(CmtfConfig):
-            value = cfg_raw[f.name]
-            settings[f.name] = kinds[f.name](value) if issubclass(kinds[f.name], Enum) else value
+            value, kind = cfg_raw[f.name], kinds[f.name]
+            settings[f.name] = kind(value) if issubclass(kind, Enum) else _json_number(f"config {f.name}", value, kind)
         config = CmtfConfig(**settings)
-        W1 = _finite_array(path, "w1", payload["w1"])
-        W0 = _finite_array(path, "w0", payload["w0"])
+        W1 = _finite_array("w1", payload["w1"])
+        W0 = _finite_array("w0", payload["w0"])
         branches = tuple(
             SplineFunction(
                 basis=SplineBasis(
-                    degree=b["degree"],
-                    df=b["df"],
-                    knots=_finite_array(path, f"branch {j} knots", b["knots"]),
+                    degree=_json_number(f"branch {j} degree", b["degree"], int),
+                    df=_json_number(f"branch {j} df", b["df"], int),
+                    knots=_finite_array(f"branch {j} knots", b["knots"]),
                 ),
-                coeffs=_finite_array(path, f"branch {j} coeffs", b["coeffs"]),
+                coeffs=_finite_array(f"branch {j} coeffs", b["coeffs"]),
                 representation=Representation(b["representation"]),
             )
             for j, b in enumerate(payload["branches"], start=1)
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed model file {path}: missing field {exc}.") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from exc
     if W1.ndim != 2 or W0.ndim != 2:
         raise ValueError(f"malformed model file {path}: w1 and w0 must be matrices.")
     if not W1.shape[1] == W0.shape[0] == len(branches):

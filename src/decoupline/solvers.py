@@ -64,14 +64,14 @@ def lstsq(lhs: np.ndarray, rhs: np.ndarray) -> LsqResult:
 
 
 def stacked_lstsq(lhs1, rhs1, lhs2, rhs2, lam: float) -> LsqResult:
-    """Solve min ||lhs1 @ X - rhs1||^2 + lam * ||lhs2 @ X - rhs2||^2 for lam > 0.
+    """Solve min ||lhs1 @ X - rhs1||^2 + lam * ||lhs2 @ X - rhs2||^2 for finite lam > 0.
 
     Both right-hand sides are matrices with one column per solution column.
     Implemented by lstsq on the row stack of the first block and the second
     block scaled by sqrt(lam).
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}.")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}.")
     lhs1 = np.asarray(lhs1, dtype=float)
     lhs2 = np.asarray(lhs2, dtype=float)
     if lhs1.shape[1] != lhs2.shape[1]:

@@ -143,6 +143,8 @@ def read_tensor(path) -> Tensor3:
         n, m, s = (int(v) for v in head)
     except ValueError as exc:
         raise ValueError(f"malformed tensor file {path}: bad header {raw[0]!r}.") from exc
+    if min(n, m, s) < 1:
+        raise ValueError(f"malformed tensor file {path}: dimensions must be >= 1, got {raw[0]!r}.")
     body = raw[1:]
     if len(body) != n * m * s:
         raise ValueError(

@@ -11,7 +11,7 @@ from decoupline.bspline import (
     Representation,
     SplineBasis,
     SplineFunction,
-    _derivative_weights,
+    _derivative_map,
     _find_spans,
     _local_basis,
     _sorted_knots,
@@ -403,6 +403,23 @@ def test_span_local_evaluation_matches_dense_reference(rep, degree):
             assert_matches_dense(fn, u, derivative=True)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_function_spline_matches_scipy_bspline(degree):
+    # .derivative and derivative_design_matrix share _derivative_map, so the
+    # dense reference above does not check g' on its own: scipy's BSpline
+    # does. nu=1 evaluates its derivative directly; BSpline.derivative()
+    # refuses the repeated interior knots of the crowded basis
+    rng = np.random.default_rng(300 + degree)
+    for basis in (quantile_basis(seed=degree, df=degree + 8, degree=degree)[0], crowded_basis(degree)):
+        u = evaluation_points(basis, rng)
+        for scale in (1.0, 1e8):
+            c = rng.standard_normal(basis.df + 1) * scale * (-1.0) ** np.arange(basis.df + 1)
+            fn = SplineFunction(basis, c, Representation.FUNCTION)
+            spline = BSpline(basis.knots, c[1:], degree, extrapolate=True)
+            for got, want in ((fn.value(u), c[0] + spline(u)), (fn.derivative(u), spline(u, nu=1))):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("rep", list(Representation))
 def test_span_local_evaluation_single_point_and_empty(rep):
     basis, _ = quantile_basis(seed=31, df=7, degree=3)
@@ -481,7 +498,7 @@ def test_window_products_match_the_dense_design_matrices(degree):
         t, u, spans, lower, vals = _window_case(bases, rng)
         y = rng.standard_normal(u.shape)
         c = rng.standard_normal((len(bases), df))
-        w = _derivative_weights(t, degree)
+        diff = _derivative_map(t, degree)
         first = spans - degree
         got = (_window_gram(vals, first, df), _window_rhs(vals, first, y, df),
                _window_values(vals, first, c), _window_gram(lower, first + 1, df + 1),
@@ -492,9 +509,6 @@ def test_window_products_match_the_dense_design_matrices(degree):
             want = (x.T @ x, x.T @ y[i], x @ c[i], low.T @ low, low.T @ y[i])
             for g, v in zip(got, want):
                 assert np.allclose(g[i], v, rtol=1e-13, atol=1e-13)
-            # B = D W: the derivative design matrix from the degree d-1 one
-            diff = np.zeros((df + 1, df))
-            diff[np.arange(df), np.arange(df)] = w[i, :df]
-            diff[np.arange(df) + 1, np.arange(df)] = -w[i, 1:]
+            # B = D M: the derivative design matrix from the degree d-1 one
             dx = derivative_design_matrix(basis, u[i])
-            assert np.allclose(low @ diff, dx, rtol=0, atol=1e-12 * np.abs(dx).max())
+            assert np.allclose(low @ diff[i], dx, rtol=0, atol=1e-12 * np.abs(dx).max())

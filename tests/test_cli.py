@@ -87,6 +87,13 @@ def test_decouple_shape_mismatch(fixture_files, capsys):
     assert "F must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--lambda", "inf"), ("--rel-tol", "inf")])
+def test_decouple_non_finite_settings_exit_one(fixture_files, capsys, flag, value):
+    tmp_path, paths = fixture_files
+    assert main(fit_args(paths, tmp_path / "m.json", [flag, value])) == 1
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_predict_round_trip(fixture_files, capsys):
     tmp_path, paths = fixture_files
     model_path = tmp_path / "model.json"

@@ -86,10 +86,11 @@ def test_config_validation_errors():
         CmtfConfig(**{**good, "rank": 0})
     with pytest.raises(ValueError, match="df must exceed degree"):
         CmtfConfig(rank=2, degree=3, df=3)
-    with pytest.raises(ValueError, match="lam"):
-        CmtfConfig(**good, lam=0.0)
-    with pytest.raises(ValueError, match="rel_tol"):
-        CmtfConfig(**good, rel_tol=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            CmtfConfig(**good, lam=bad)
+        with pytest.raises(ValueError, match="rel_tol"):
+            CmtfConfig(**good, rel_tol=bad)
     with pytest.raises(ValueError, match="DERIVATIVE"):
         CmtfConfig(**good, constraint=Constraint.MONOTONE_INCREASING,
                    representation=Representation.FUNCTION)
@@ -368,24 +369,18 @@ def _close(got, want, rtol=1e-10):
     return np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def assert_same_function_projection(got, want, dense=()):
+def assert_same_function_projection(got, want):
     """FUNCTION/NONE projections against the reference, whose min-norm SVD
-    spreads the free constant over c0 and c[1:] where the normal-equation
-    solve puts c0 = 0. Since the basis sums to one, c0 + c[1:] is the
-    function either way: it, G and R are compared to 1e-10 relative, knots
-    and fallback flags exactly. Branches listed in dense take the lstsq
-    path in both and are compared exactly."""
+    spreads the free constant over c0 and c[1:] where the projection puts
+    c0 = 0. Since the basis sums to one, c0 + c[1:] is the function either
+    way: it, G and R are compared to 1e-10 relative, knots and fallback
+    flags exactly."""
     assert np.array_equal(got.knots, want.knots)
     assert got.fallback == want.fallback
     for j, (a, b) in enumerate(zip(got.coeffs, want.coeffs, strict=True)):
-        if j in dense:
-            assert np.array_equal(a, b)
-            assert np.array_equal(got.G[:, j], want.G[:, j])
-            assert np.array_equal(got.R[:, j], want.R[:, j])
-        else:
-            assert _close(a[1:] + a[0], b[1:] + b[0])
-            assert _close(got.G[:, j], want.G[:, j])
-            assert _close(got.R[:, j], want.R[:, j])
+        assert _close(a[1:] + a[0], b[1:] + b[0])
+        assert _close(got.G[:, j], want.G[:, j])
+        assert _close(got.R[:, j], want.R[:, j])
 
 
 def assert_matches_reference(got, want, rep, constraint):
@@ -502,15 +497,16 @@ def test_projection_reference_lam_edges():
 
 
 def test_projection_rejects_inputs_no_fit_sends():
-    # CmtfConfig rejects lam <= 0 and MONOTONE_INCREASING under FUNCTION, so
-    # no fit sends them; the projection rejects them with the same messages
+    # CmtfConfig rejects a lam that is not positive and finite, and
+    # MONOTONE_INCREASING under FUNCTION, so no fit sends them; the
+    # projection rejects them with the same messages
     rng = np.random.default_rng(36)
     s = 40
     G = rng.standard_normal((s, 2))
     R = rng.standard_normal((s, 2))
     x = rng.uniform(-1, 1, (2, s))
     for rep, constraint in REP_CONSTRAINT:
-        for lam in (0.0, np.nan):
+        for lam in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="lam must be positive"):
                 bspline_projection(G, R, 6, 3, x, lam, rep, constraint)
     with pytest.raises(ValueError, match="requires the DERIVATIVE representation"):
@@ -530,8 +526,15 @@ def test_projection_warns_once_per_crowded_branch():
     knot_warnings = [m for m in messages if m.startswith("coincident interior knots")]
     assert len(knot_warnings) == 2
     # the crowded branches leave a basis function without samples, so their
-    # normal matrices are singular and they take the dense lstsq path
-    assert_same_function_projection(got, want, dense=(0, 2))
+    # normal matrices are singular and lstsq solves them without the
+    # constant column. Its min-norm choice for the unsampled functions
+    # differs from the reference's, but the fitted samples agree
+    assert np.array_equal(got.knots, want.knots)
+    for j in range(3):
+        assert got.coeffs[j][0] == 0.0
+        assert _close(got.G[:, j], want.G[:, j])
+        assert _close(got.R[:, j], want.R[:, j])
+    assert _close(got.coeffs[1][1:], want.coeffs[1][1:] + want.coeffs[1][0])
 
 
 def _counting_lstsq(monkeypatch):
@@ -1130,13 +1133,25 @@ def test_saved_model_keys_are_the_documented_ones(tmp_path):
         assert f"`{key}`" in formats, key
     assert "No certificate is stored" in formats
 
-def test_load_model_malformed(tmp_path):
+def test_load_model_malformed(tmp_path, saved_model):
     p = tmp_path / "bad.json"
     p.write_text("not json at all {")
     with pytest.raises(ValueError, match="malformed model file"):
         load_model(p)
     p.write_text(json.dumps({"W1": [[1.0]]}))
     with pytest.raises(ValueError, match="malformed model file"):
+        load_model(p)
+    # a field of the wrong type is named as such, not as a missing field
+    payload = json.loads(saved_model[1].read_text())
+    payload["branches"][0]["degree"] = "3"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed model file .*: branch 1 degree must be an integer, got '3'"):
+        load_model(p)
+    # so is a value the spline or config types reject
+    payload["branches"][0]["degree"] = 2
+    payload["branches"][0]["representation"] = "bogus"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed model file .*: 'bogus' is not a valid Representation"):
         load_model(p)
 
 

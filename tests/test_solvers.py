@@ -73,7 +73,7 @@ def test_stacked_lstsq_matches_explicit_stack():
 
 
 def test_stacked_lstsq_negative_lam():
-    for lam in (-0.1, 0.0, np.nan):
+    for lam in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="lam must be positive"):
             stacked_lstsq(np.eye(2), np.ones((2, 1)), np.eye(2), np.ones((2, 1)), lam)
 

@@ -178,6 +178,8 @@ def test_file_formats_as_documented(tmp_path):
         ("", "empty"),
         ("2 2\n1\n", "header"),
         ("a b c\n1\n", "bad header"),
+        ("-1 -1 4\n1\n", "dimensions must be >= 1"),
+        ("0 2 3\n", "dimensions must be >= 1"),
         ("1 1 2\n1.0\n", "expected 2 values"),
         ("1 1 1\nxyz\n", "non-numeric"),
     ],
