@@ -7,6 +7,7 @@ constrained to be monotone increasing.
 """
 
 from .bspline import (
+    Constraint,
     Representation,
     SplineBasis,
     SplineFunction,
@@ -15,7 +16,6 @@ from .bspline import (
 from .decoupling import (
     Certification,
     CmtfConfig,
-    Constraint,
     DecoupledModel,
     FitState,
     certify_monotone,

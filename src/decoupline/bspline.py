@@ -1,4 +1,4 @@
-"""Clamped B-spline bases on data-driven knots.
+"""Clamped B-spline bases on data-driven knots, and the spline projection.
 
 Everything is built on open (clamped) knot vectors: boundary knots repeated
 degree+1 times, interior knots at sample quantiles. A basis with `df` degrees
@@ -7,11 +7,14 @@ the df basis functions at given points; companion matrices evaluate their
 derivatives and running integrals in the same coefficient space, so a single
 coefficient vector can be read at the function level and at the derivative
 level consistently. A derivative has one formula: the degree d-1 basis of
-the same knots times the knot-difference map of _derivative_map. The dense
-builder _dense_pair writes the derivative representation's systems, and
-_normal_fit solves the function representation's from span windows.
+the same knots times the knot-difference map of _derivative_map.
 SplineFunction evaluates without design matrices: each point reads only the
 few basis functions alive on its knot span.
+
+bspline_projection places every branch's knots and builds and solves its
+system: _normal_fit from span windows (function representation), or
+_dense_pair and _dense_solve (derivative representation; lstsq, or NNLS
+under the monotone Constraint).
 
 Conventions that matter downstream:
   * right boundary is closed, the last basis function equals 1 at the domain
@@ -25,13 +28,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .solvers import RANK_RCOND
+from .solvers import RANK_RCOND, nnls
 
 __all__ = [
     "Representation",
+    "Constraint",
     "SplineBasis",
     "SplineFunction",
     "determine_knots",
@@ -39,6 +44,9 @@ __all__ = [
     "derivative_design_matrix",
     "integral_design_matrix",
     "augment",
+    "ProjectionResult",
+    "bspline_projection",
+    "leaky_relu_fallback",
 ]
 
 
@@ -53,6 +61,11 @@ class Representation(Enum):
 
     FUNCTION = "function"
     DERIVATIVE = "derivative"
+
+
+class Constraint(Enum):
+    NONE = "none"
+    MONOTONE_INCREASING = "increasing"
 
 
 @dataclass(frozen=True)
@@ -382,8 +395,8 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     kappa(A) at or below _NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
     _NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test); one
     batched Cholesky factors those rows, and neither B nor Btil is formed.
-    Each other row scatters its windows into A and takes its min-norm
-    lstsq solution.
+    Each other row scatters its windows into B and Btil and takes the
+    min-norm lstsq solution of _dense_solve.
 
     Returns (c, g_fit, r_fit): c[i] the df spline coefficients, g_fit[i]
     and r_fit[i] the fitted samples.
@@ -414,15 +427,229 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
         lo = np.linalg.cholesky(normal[solved])
         c[solved] = np.linalg.solve(np.swapaxes(lo, 1, 2), np.linalg.solve(lo, rhs[solved]))
     c = c[..., 0]
-    root = np.sqrt(lam)
     for i in np.flatnonzero(~solved):
         b_mat = _scatter(np.zeros((u.shape[1], df + 1)), lower[:, i], spans[i], degree - 1) @ diff[i]
         btil = _scatter(np.zeros((u.shape[1], df)), vals[:, i], spans[i], degree)
-        a = np.vstack([b_mat, root * btil])
-        c[i] = np.linalg.lstsq(a, np.concatenate([g[i], root * r[i]]), rcond=RANK_RCOND)[0]
+        c[i] = _dense_solve(b_mat, btil, g[i], r[i], lam, Constraint.NONE)
     g_fit = _window_values(lower, first_lower, (diff @ c[..., None])[..., 0])
     r_fit = _window_values(vals, first, c)
     return c, g_fit, r_fit
+
+
+def _check_projection_args(lam, representation, constraint) -> None:
+    """Reject a coupling weight that is not positive and finite, and a
+    constraint the representation cannot express."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}.")
+    if (
+        constraint is Constraint.MONOTONE_INCREASING
+        and representation is not Representation.DERIVATIVE
+    ):
+        # nonnegative coefficients on g itself would force g >= 0,
+        # not monotonicity, so reject instead of silently reinterpreting
+        raise ValueError(
+            "MONOTONE_INCREASING requires the DERIVATIVE representation."
+        )
+
+
+@dataclass(frozen=True)
+class ProjectionResult:
+    """Spline-projected G and R plus what produced them.
+
+    coeffs[j] is the df+1 coefficient vector [c0, c1..df] of branch j, or
+    None when the fallback replaced that branch this sweep. A collapsed
+    branch has only c0; every other FUNCTION branch has c0 = 0 (the spline
+    block carries the constant).
+    knots[j] is its knot vector and bases[j] its SplineBasis, built from
+    knots and degree (the basis degree, one less than the branch degree
+    under DERIVATIVE) when first read.
+    """
+
+    G: np.ndarray
+    R: np.ndarray
+    coeffs: tuple
+    knots: np.ndarray
+    degree: int
+    fallback: tuple
+
+    @cached_property
+    def bases(self) -> tuple:
+        df = self.knots.shape[1] - self.degree - 1
+        return tuple(SplineBasis(degree=self.degree, df=df, knots=k) for k in self.knots)
+
+
+# slope of the fallback's derivative below zero; negative, so that
+# slope * u >= 0 there and the fallback branch is increasing everywhere
+FALLBACK_SLOPE = -0.5
+
+
+def leaky_relu_fallback(u) -> tuple[np.ndarray, np.ndarray]:
+    """Replacement branch samples when the constrained fit collapses to zero.
+
+    Derivative column gets L(u) = u for u >= 0 and FALLBACK_SLOPE * u below
+    (nonnegative everywhere); function column gets the antiderivative of L
+    anchored at 0.
+    """
+    u = np.asarray(u, dtype=float)
+    g_col = np.where(u >= 0, u, FALLBACK_SLOPE * u)
+    r_col = np.where(u >= 0, 0.5 * u * u, FALLBACK_SLOPE * 0.5 * u * u)
+    return g_col, r_col
+
+
+def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
+    """min ||a c - y|| over c with c[1:] >= 0, for the stacked [B; sqrt(lam) Btil].
+
+    The free constant is eliminated by projecting the stacked system onto
+    the orthogonal complement of its column, running NNLS there, and
+    recovering c[0] from its closed-form optimum afterwards. The split is
+    exact because the objective separates along that column. A warm
+    coefficient vector (the branch's last fit, or None) seeds the NNLS
+    with its c[1:].
+    """
+    a0 = a[:, 0]
+    rest = a[:, 1:]
+    nrm2 = float(a0 @ a0)  # the ones column makes this lam * S > 0
+    mix = (a0 @ rest) / nrm2
+    x0 = None if warm is None else warm[1:]
+    res = nnls(rest - np.outer(a0, mix), y - a0 * float(a0 @ y / nrm2), x0=x0)
+    if res.cap_exceeded:
+        warnings.warn("nnls hit its iteration cap during projection", stacklevel=2)
+    c_plus = res.solution
+    c0 = float(a0 @ (y - rest @ c_plus) / nrm2)
+    return np.concatenate([[c0], c_plus])
+
+
+def _dense_solve(b_mat, btil, g, r, lam: float, constraint: Constraint, warm=None) -> np.ndarray:
+    """Coefficients of one branch from its stacked system [B; sqrt(lam) Btil] c ~ [g; sqrt(lam) r].
+
+    b_mat and btil are one branch's pair, g and r its samples of g' and g.
+    Without a constraint the solve is lstsq (the min-norm solution where
+    the system is rank-deficient), under MONOTONE_INCREASING
+    _nonneg_stacked, seeded with warm.
+    """
+    root = np.sqrt(lam)
+    a = np.vstack([b_mat, root * btil])
+    y = np.concatenate([g, root * r])
+    if constraint is Constraint.NONE:
+        return np.linalg.lstsq(a, y, rcond=RANK_RCOND)[0]
+    return _nonneg_stacked(a, y, warm)
+
+
+def bspline_projection(
+    G,
+    R,
+    df: int,
+    degree: int,
+    x_samples,
+    lam: float,
+    representation: Representation,
+    constraint: Constraint,
+    warm=None,
+) -> ProjectionResult:
+    """Project each (G, R) column pair onto one spline coefficient vector.
+
+    Branch j gets knots from the quantiles of row j of x_samples. Its
+    derivative column G[:, j] and function column R[:, j] are fitted
+    jointly (function block weighted by lam > 0) and overwritten by the
+    fitted spline values. The branches share one sort of x_samples and one
+    knot pass; each branch then takes one of these routes:
+
+    * a collapsed input row (zero or float-coincident spread) gets the best
+      constant, in c0;
+    * under FUNCTION, every branch is solved by _normal_fit with the free
+      constant dropped (c0 = 0; the basis sums to one, so that column only
+      repeated the spline block's constant): from its banded normal
+      equations, or by _dense_solve's lstsq when its kappa(A) is above
+      _NORMAL_KAPPA_MAX;
+    * under DERIVATIVE, every branch is written into the stacked system
+      [B; sqrt(lam) Btil] of _dense_pair, with the constant column (g's
+      integration constant), and solved alone by _dense_solve: by lstsq
+      (the min-norm solution where it is rank-deficient), or under
+      MONOTONE_INCREASING by NNLS on the spline block. If NNLS returns all
+      zeros the branch is replaced by leaky ReLU samples for this sweep
+      instead (coeffs entry None).
+
+    warm, when given, is the coeffs of the previous projection: each
+    constrained branch starts its NNLS from its own previous coefficients
+    (a None or all-zero entry starts cold). The NNLS result does not depend
+    on its start beyond the free set it ends on (see solvers.nnls), so
+    this only saves solves; the unconstrained arm ignores warm.
+
+    A lam that is not positive and finite, and MONOTONE_INCREASING under
+    FUNCTION, are rejected with CmtfConfig's messages: no fit sends them.
+    """
+    _check_projection_args(lam, representation, constraint)
+    G = np.array(G, dtype=float)
+    R = np.array(R, dtype=float)
+    x = np.asarray(x_samples, dtype=float)
+    r = G.shape[1]
+    basis_degree = degree if representation is Representation.FUNCTION else degree - 1
+    knots = np.empty((r, df + basis_degree + 1))
+    coeffs = [None] * r
+    fallback = [False] * r
+    xs = np.sort(x, axis=1)
+    width = xs[:, -1] - xs[:, 0]
+    peak = np.abs(xs[:, [0, -1]]).max(axis=1)
+    # a collapsed input row (dead rank-one component, W0 row driven to zero
+    # or to float-coincident values) admits only constant branches; fit the
+    # best constant instead of handing the basis a domain narrower than its
+    # own rounding error
+    collapsed = (width == 0) | (width <= 1e-13 * peak) | (peak < 1e-200)
+    for j in np.flatnonzero(collapsed):
+        const = float(R[:, j].mean())
+        spread = np.linspace(x[j, 0] - 1.0, x[j, 0] + 1.0, df + basis_degree + 2)
+        knots[j] = _sorted_knots(spread[None, :], df, basis_degree)[0]
+        coeffs[j] = np.zeros(df + 1)
+        coeffs[j][0] = const
+        G[:, j] = 0.0
+        R[:, j] = const
+    live = np.flatnonzero(~collapsed)
+    if live.size:
+        t = _sorted_knots(xs[live], df, basis_degree)
+        knots[live] = t
+        u = x[live]
+        if representation is Representation.FUNCTION:
+            c, g_fit, r_fit = _normal_fit(t, basis_degree, u, G[:, live].T, R[:, live].T, lam)
+            G[:, live] = g_fit.T
+            R[:, live] = r_fit.T
+            for j, cj in zip(live, c):
+                coeffs[j] = np.concatenate([[0.0], cj])
+        else:
+            b_mats, btils = _dense_pair(t, basis_degree, u)
+            for j, b_mat, btil in zip(live, b_mats, btils):
+                c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, constraint,
+                                 None if warm is None else warm[j])
+                if constraint is not Constraint.NONE and np.all(c[1:] == 0):
+                    G[:, j], R[:, j] = leaky_relu_fallback(x[j])
+                    fallback[j] = True
+                    continue
+                G[:, j] = b_mat @ c
+                R[:, j] = btil @ c
+                coeffs[j] = c
+    return ProjectionResult(
+        G=G, R=R, coeffs=tuple(coeffs), knots=knots, degree=basis_degree, fallback=tuple(fallback)
+    )
+
+
+def _assemble_branches(proj: ProjectionResult, x, lam, representation: Representation, constraint: Constraint):
+    """Turn the projection proj, made at the branch inputs x, into SplineFunctions.
+
+    Returns (branches, G, R), G and R copies of proj's. A branch that ended
+    on the fallback has no coefficients yet; refit the constrained spline to
+    its fallback columns and overwrite them so the stored branch and the
+    final G, R agree (predict must reproduce W1 R^T on the training samples).
+    """
+    G = np.array(proj.G, dtype=float)
+    R = np.array(proj.R, dtype=float)
+    branches = []
+    for j, (c, basis, fb) in enumerate(zip(proj.coeffs, proj.bases, proj.fallback)):
+        if fb:
+            (b_mat,), (btil,) = _dense_pair(proj.knots[j : j + 1], proj.degree, x[j : j + 1])
+            c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, constraint)
+            G[:, j] = b_mat @ c
+            R[:, j] = btil @ c
+        branches.append(SplineFunction(basis=basis, coeffs=c, representation=representation))
+    return tuple(branches), G, R
 
 
 # Points per block of span-local evaluation: each of a block's work arrays

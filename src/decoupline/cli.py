@@ -12,11 +12,10 @@ import sys
 
 import numpy as np
 
-from .bspline import Representation
+from .bspline import Constraint, Representation
 from .decoupling import (
     STALL_SWEEPS,
     CmtfConfig,
-    Constraint,
     certify_monotone,
     decouple,
     load_model,
@@ -66,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-8,
         help="stop when one sweep changes the objective by at most this times "
         f"the previous objective, or when {STALL_SWEEPS} sweeps in a row do not "
-        "lower the best objective by more than this times the best (default: 1e-8)",
+        "lower the best objective by more than this times the best; must lie "
+        "in (0, 1), and values near 1 stop within a few sweeps (default: 1e-8)",
     )
     p_dec.add_argument("--diagnostics", help="write per-iteration CSV here")
     p_dec.add_argument("--out", required=True, help="model JSON output path")

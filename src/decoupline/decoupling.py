@@ -3,11 +3,15 @@
 The Jacobian tensor J (slice k = W1 diag(g'(u_k)) W0) is factored jointly
 with the zeroth-order matrix F ~ W1 R^T. Alternating least squares cycles
 through W1, W0, G (derivative samples) and R (function samples); after each
-sweep every (G, R) column pair is projected onto a single B-spline
-coefficient vector, so column j of G and R stay consistent samples of g'_j
-and g_j for one branch function g_j. Optionally the projection runs under a
-nonnegativity constraint on the spline block, which certifies each branch
-as monotone increasing.
+sweep bspline.bspline_projection projects every (G, R) column pair onto a
+single B-spline coefficient vector, so column j of G and R stay consistent
+samples of g'_j and g_j for one branch function g_j. Optionally the
+projection runs under a nonnegativity constraint on the spline block,
+which certifies each branch as monotone increasing.
+
+This module holds the run's settings, the sweep, the stop rules, predict,
+the monotonicity certificates and model IO; every spline system is built
+and solved in bspline.
 """
 
 from __future__ import annotations
@@ -17,32 +21,29 @@ import typing
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .bspline import (
+    Constraint,
     Representation,
     SplineBasis,
     SplineFunction,
-    _dense_pair,
-    _normal_fit,
-    _sorted_knots,
+    _assemble_branches,
+    _check_projection_args,
+    _derivative_map,
+    bspline_projection,
 )
-from .solvers import RANK_RCOND, lstsq, nnls, stacked_lstsq
+from .solvers import lstsq, stacked_lstsq
 from .tensor3 import Tensor3, frob_norm_sq, khatri_rao, reconstruct, unfold
 
 __all__ = [
-    "Constraint",
     "Certification",
     "CmtfConfig",
     "FitState",
     "DecoupledModel",
-    "ProjectionResult",
     "decouple",
     "normalize_columns_w0t",
-    "bspline_projection",
-    "leaky_relu_fallback",
     "objective_terms",
     "predict",
     "certify_monotone",
@@ -55,11 +56,6 @@ __all__ = [
 
 # slack on the coefficient sign test used for monotonicity certificates
 CERT_COEFF_TOL = -1e-12
-
-
-class Constraint(Enum):
-    NONE = "none"
-    MONOTONE_INCREASING = "increasing"
 
 
 class Certification(Enum):
@@ -83,7 +79,8 @@ class CmtfConfig:
         most rel_tol times the previous objective ("converged"), when
         STALL_SWEEPS sweeps in a row fail to lower the best objective so far
         by more than rel_tol times that best ("stalled"), or after max_iter
-        sweeps ("budget").
+        sweeps ("budget"). rel_tol lies in (0, 1); near 1 a fit stops
+        within its first few sweeps, at 1 no sweep could count as a drop.
     seed: reproducible random init; W0, G and R entries are standard
         normal. W1 needs no init because the first sweep produces it.
     """
@@ -111,27 +108,13 @@ class CmtfConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}.")
         if not 0 < self.rel_tol < np.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}.")
+        if not self.rel_tol < 1:
+            raise ValueError(f"rel_tol must be positive and below 1, got {self.rel_tol}.")
         if not isinstance(self.representation, Representation):
             raise ValueError(f"bad representation {self.representation!r}.")
         if not isinstance(self.constraint, Constraint):
             raise ValueError(f"bad constraint {self.constraint!r}.")
         _check_projection_args(self.lam, self.representation, self.constraint)
-
-
-def _check_projection_args(lam, representation, constraint) -> None:
-    """Reject a coupling weight that is not positive and finite, and a
-    constraint the representation cannot express."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}.")
-    if (
-        constraint is Constraint.MONOTONE_INCREASING
-        and representation is not Representation.DERIVATIVE
-    ):
-        # nonnegative coefficients on g itself would force g >= 0,
-        # not monotonicity, so reject instead of silently reinterpreting
-        raise ValueError(
-            "MONOTONE_INCREASING requires the DERIVATIVE representation."
-        )
 
 
 @dataclass
@@ -165,32 +148,6 @@ class DecoupledModel:
     config: CmtfConfig
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Spline-projected G and R plus what produced them.
-
-    coeffs[j] is the df+1 coefficient vector [c0, c1..df] of branch j, or
-    None when the fallback replaced that branch this sweep. A collapsed
-    branch has only c0; every other FUNCTION branch has c0 = 0 (the spline
-    block carries the constant).
-    knots[j] is its knot vector and bases[j] its SplineBasis, built from
-    knots and degree (the basis degree, one less than the branch degree
-    under DERIVATIVE) when first read.
-    """
-
-    G: np.ndarray
-    R: np.ndarray
-    coeffs: tuple
-    knots: np.ndarray
-    degree: int
-    fallback: tuple
-
-    @cached_property
-    def bases(self) -> tuple:
-        df = self.knots.shape[1] - self.degree - 1
-        return tuple(SplineBasis(degree=self.degree, df=df, knots=k) for k in self.knots)
-
-
 def objective_terms(J: Tensor3, F, W1, W0, G, R) -> tuple[float, float]:
     """Squared tensor residual and squared coupling residual, unweighted."""
     tensor_term = frob_norm_sq(J.data - reconstruct(W1, W0.T, G).data)
@@ -216,159 +173,6 @@ def normalize_columns_w0t(W0: np.ndarray, W1: np.ndarray) -> tuple[np.ndarray, n
         warnings.warn("zero column of W0^T skipped during normalization", stacklevel=2)
     scale = np.where(zero, 1.0, beta)
     return W0 / scale[:, None], W1 * scale[None, :]
-
-
-# slope of the fallback's derivative below zero; negative, so that
-# slope * u >= 0 there and the fallback branch is increasing everywhere
-FALLBACK_SLOPE = -0.5
-
-
-def leaky_relu_fallback(u) -> tuple[np.ndarray, np.ndarray]:
-    """Replacement branch samples when the constrained fit collapses to zero.
-
-    Derivative column gets L(u) = u for u >= 0 and FALLBACK_SLOPE * u below
-    (nonnegative everywhere); function column gets the antiderivative of L
-    anchored at 0.
-    """
-    u = np.asarray(u, dtype=float)
-    g_col = np.where(u >= 0, u, FALLBACK_SLOPE * u)
-    r_col = np.where(u >= 0, 0.5 * u * u, FALLBACK_SLOPE * 0.5 * u * u)
-    return g_col, r_col
-
-
-def _nonneg_stacked(a, y, warm=None) -> np.ndarray:
-    """min ||a c - y|| over c with c[1:] >= 0, for the stacked [B; sqrt(lam) Btil].
-
-    The free constant is eliminated by projecting the stacked system onto
-    the orthogonal complement of its column, running NNLS there, and
-    recovering c[0] from its closed-form optimum afterwards. The split is
-    exact because the objective separates along that column. A warm
-    coefficient vector (the branch's last fit, or None) seeds the NNLS
-    with its c[1:].
-    """
-    a0 = a[:, 0]
-    rest = a[:, 1:]
-    nrm2 = float(a0 @ a0)  # the ones column makes this lam * S > 0
-    mix = (a0 @ rest) / nrm2
-    x0 = None if warm is None else warm[1:]
-    res = nnls(rest - np.outer(a0, mix), y - a0 * float(a0 @ y / nrm2), x0=x0)
-    if res.cap_exceeded:
-        warnings.warn("nnls hit its iteration cap during projection", stacklevel=2)
-    c_plus = res.solution
-    c0 = float(a0 @ (y - rest @ c_plus) / nrm2)
-    return np.concatenate([[c0], c_plus])
-
-
-def _dense_solve(b_mat, btil, g, r, lam: float, constraint: Constraint, warm=None) -> np.ndarray:
-    """Coefficients of one branch from its stacked system [B; sqrt(lam) Btil] c ~ [g; sqrt(lam) r].
-
-    b_mat and btil are one branch's pair from bspline._dense_pair, g and r
-    its samples of g' and g. Without a constraint the solve is lstsq (the
-    min-norm solution where the system is rank-deficient), under
-    MONOTONE_INCREASING _nonneg_stacked, seeded with warm.
-    """
-    root = np.sqrt(lam)
-    a = np.vstack([b_mat, root * btil])
-    y = np.concatenate([g, root * r])
-    if constraint is Constraint.NONE:
-        return np.linalg.lstsq(a, y, rcond=RANK_RCOND)[0]
-    return _nonneg_stacked(a, y, warm)
-
-
-def bspline_projection(
-    G,
-    R,
-    df: int,
-    degree: int,
-    x_samples,
-    lam: float,
-    representation: Representation,
-    constraint: Constraint,
-    warm=None,
-) -> ProjectionResult:
-    """Project each (G, R) column pair onto one spline coefficient vector.
-
-    Branch j gets knots from the quantiles of row j of x_samples. Its
-    derivative column G[:, j] and function column R[:, j] are fitted
-    jointly (function block weighted by lam > 0) and overwritten by the
-    fitted spline values. The branches share one sort of x_samples and one
-    knot pass; each branch then takes one of these routes:
-
-    * a collapsed input row (zero or float-coincident spread) gets the best
-      constant, in c0;
-    * under FUNCTION, every branch is solved by bspline._normal_fit with
-      the free constant dropped (c0 = 0; the basis sums to one, so that
-      column only repeated the spline block's constant): from its banded
-      normal equations, or by lstsq when its kappa(A) is above
-      bspline._NORMAL_KAPPA_MAX;
-    * under DERIVATIVE, every branch is written into the stacked system
-      [B; sqrt(lam) Btil] of bspline._dense_pair, with the constant column
-      (g's integration constant), and solved alone by _dense_solve: by
-      lstsq (the min-norm solution where it is rank-deficient), or under
-      MONOTONE_INCREASING by NNLS on the spline block. If NNLS returns all
-      zeros the branch is replaced by leaky ReLU samples for this sweep
-      instead (coeffs entry None).
-
-    warm, when given, is the coeffs of the previous projection: each
-    constrained branch starts its NNLS from its own previous coefficients
-    (a None or all-zero entry starts cold). The NNLS result does not depend
-    on its start beyond the free set it ends on (see solvers.nnls), so
-    this only saves solves; the unconstrained arm ignores warm.
-
-    A lam that is not positive and finite, and MONOTONE_INCREASING under
-    FUNCTION, are rejected with CmtfConfig's messages: no fit sends them.
-    """
-    _check_projection_args(lam, representation, constraint)
-    G = np.array(G, dtype=float)
-    R = np.array(R, dtype=float)
-    x = np.asarray(x_samples, dtype=float)
-    r = G.shape[1]
-    basis_degree = degree if representation is Representation.FUNCTION else degree - 1
-    knots = np.empty((r, df + basis_degree + 1))
-    coeffs = [None] * r
-    fallback = [False] * r
-    xs = np.sort(x, axis=1)
-    width = xs[:, -1] - xs[:, 0]
-    peak = np.abs(xs[:, [0, -1]]).max(axis=1)
-    # a collapsed input row (dead rank-one component, W0 row driven to zero
-    # or to float-coincident values) admits only constant branches; fit the
-    # best constant instead of handing the basis a domain narrower than its
-    # own rounding error
-    collapsed = (width == 0) | (width <= 1e-13 * peak) | (peak < 1e-200)
-    for j in np.flatnonzero(collapsed):
-        const = float(R[:, j].mean())
-        spread = np.linspace(x[j, 0] - 1.0, x[j, 0] + 1.0, df + basis_degree + 2)
-        knots[j] = _sorted_knots(spread[None, :], df, basis_degree)[0]
-        coeffs[j] = np.zeros(df + 1)
-        coeffs[j][0] = const
-        G[:, j] = 0.0
-        R[:, j] = const
-    live = np.flatnonzero(~collapsed)
-    if live.size:
-        t = _sorted_knots(xs[live], df, basis_degree)
-        knots[live] = t
-        u = x[live]
-        if representation is Representation.FUNCTION:
-            c, g_fit, r_fit = _normal_fit(t, basis_degree, u, G[:, live].T, R[:, live].T, lam)
-            G[:, live] = g_fit.T
-            R[:, live] = r_fit.T
-            for j, cj in zip(live, c):
-                coeffs[j] = np.concatenate([[0.0], cj])
-        else:
-            b_mats, btils = _dense_pair(t, basis_degree, u)
-            for j, b_mat, btil in zip(live, b_mats, btils):
-                c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, constraint,
-                                 None if warm is None else warm[j])
-                if constraint is not Constraint.NONE and np.all(c[1:] == 0):
-                    G[:, j], R[:, j] = leaky_relu_fallback(x[j])
-                    fallback[j] = True
-                    continue
-                G[:, j] = b_mat @ c
-                R[:, j] = btil @ c
-                coeffs[j] = c
-    return ProjectionResult(
-        G=G, R=R, coeffs=tuple(coeffs), knots=knots, degree=basis_degree, fallback=tuple(fallback)
-    )
 
 
 def _warn_rank(result, shape: tuple, step: str, warned: set) -> None:
@@ -404,7 +208,7 @@ def _check_diverged(name: str, arr, it: int) -> None:
 
 
 def _sweep(unfoldings, F, samples, W1, W0, G, R, proj, config: CmtfConfig, warned: set, it: int):
-    """One ALS sweep of decouple; returns (W1, W0, G, R, proj).
+    """One ALS sweep of decouple; returns (W1, W0, proj), proj holding G and R.
 
     Updates W1 (coupled fit of the mode-1 unfolding and lam*F), W0 (mode-2
     unfolding), normalizes W0^T columns into W1, updates G (mode-3
@@ -447,7 +251,7 @@ def _sweep(unfoldings, F, samples, W1, W0, G, R, proj, config: CmtfConfig, warne
     )
     _check_diverged("projected G", proj.G, it)
     _check_diverged("projected R", proj.R, it)
-    return W1, W0, proj.G, proj.R, proj
+    return W1, W0, proj
 
 
 def decouple(J, F, samples, config: CmtfConfig):
@@ -507,7 +311,8 @@ def decouple(J, F, samples, config: CmtfConfig):
         if it - last_drop > STALL_SWEEPS:
             stop_reason = "stalled"
             break
-        W1, W0, G, R, proj = _sweep(unfoldings, F, samples, W1, W0, G, R, proj, config, warned, it)
+        W1, W0, proj = _sweep(unfoldings, F, samples, W1, W0, G, R, proj, config, warned, it)
+        G, R = proj.G, proj.R
 
         tensor_term, coupling_term = objective_terms(J, F, W1, W0, G, R)
         obj = tensor_term + config.lam * coupling_term
@@ -529,32 +334,11 @@ def decouple(J, F, samples, config: CmtfConfig):
                 last_drop = it
             best = obj
 
-    branches, G, R = _assemble_branches(proj, G, R, W0 @ samples, config.lam, config)
+    branches, G, R = _assemble_branches(proj, W0 @ samples, config.lam, config.representation, config.constraint)
     state.W1, state.W0, state.G, state.R = W1, W0, G, R
     state.stop_reason = stop_reason
     model = DecoupledModel(W1=W1.copy(), W0=W0.copy(), branches=branches, config=config)
     return model, state
-
-
-def _assemble_branches(proj: ProjectionResult, G, R, x, lam, config: CmtfConfig):
-    """Turn the last projection into SplineFunctions.
-
-    A branch that ended on the fallback has no coefficients yet; refit the
-    constrained spline to its fallback columns and overwrite them so the
-    stored branch and the final G, R agree (predict must reproduce W1 R^T
-    on the training samples).
-    """
-    G = np.array(G, dtype=float)
-    R = np.array(R, dtype=float)
-    branches = []
-    for j, (c, basis, fb) in enumerate(zip(proj.coeffs, proj.bases, proj.fallback)):
-        if fb:
-            (b_mat,), (btil,) = _dense_pair(proj.knots[j : j + 1], proj.degree, x[j : j + 1])
-            c = _dense_solve(b_mat, btil, G[:, j], R[:, j], lam, config.constraint)
-            G[:, j] = b_mat @ c
-            R[:, j] = btil @ c
-        branches.append(SplineFunction(basis=basis, coeffs=c, representation=config.representation))
-    return tuple(branches), G, R
 
 
 def predict(model: DecoupledModel, X) -> np.ndarray:
@@ -583,27 +367,15 @@ def certify_monotone(fn: SplineFunction) -> Certification:
     """Sufficient sign test: nonnegative derivative coefficients.
 
     DERIVATIVE representation: the spline IS g', so its coefficients must
-    all clear -CERT_COEFF_TOL. FUNCTION representation: the derivative
-    spline's coefficients are knot-difference ratios of consecutive
-    coefficients; empty knot spans contribute vanishing basis functions and
-    are skipped. The test is sufficient, not necessary.
+    all clear -CERT_COEFF_TOL. FUNCTION representation: the same test on
+    the derivative spline's coefficients from _derivative_map, which skips
+    empty knot spans; at degree 0, on the steps between coefficients. The
+    test is sufficient, not necessary.
     """
-    c = fn.coeffs[1:]
-    if fn.representation is Representation.DERIVATIVE:
-        ok = bool(np.all(c >= CERT_COEFF_TOL))
-        return Certification.CERTIFIED_INCREASING if ok else Certification.NOT_CERTIFIED
-    t = fn.basis.knots
-    d = fn.basis.degree
-    diffs = np.diff(c)
-    if d == 0:
-        # step-function branch: monotone iff the steps never go down
-        ok = bool(np.all(diffs >= CERT_COEFF_TOL))
-        return Certification.CERTIFIED_INCREASING if ok else Certification.NOT_CERTIFIED
-    gaps = t[d + 1 : d + len(c)] - t[1 : len(c)]
-    live = gaps > 0
-    rates = np.zeros(diffs.size)
-    rates[live] = d * diffs[live] / gaps[live]
-    ok = bool(np.all(rates >= CERT_COEFF_TOL))
+    c, d = fn.coeffs[1:], fn.basis.degree
+    if fn.representation is Representation.FUNCTION:
+        c = np.diff(c) if d == 0 else _derivative_map(fn.basis.knots[None, :], d)[0] @ c
+    ok = bool(np.all(c >= CERT_COEFF_TOL))
     return Certification.CERTIFIED_INCREASING if ok else Certification.NOT_CERTIFIED
 
 

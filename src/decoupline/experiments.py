@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .bspline import Constraint, Representation
 from .decoupling import (
     Certification,
     CmtfConfig,
-    Constraint,
     certify_monotone,
     decouple,
 )
-from .bspline import Representation
 from .sysgen import (
     SyntheticSystem,
     builtin_mono,

@@ -94,6 +94,12 @@ def test_decouple_non_finite_settings_exit_one(fixture_files, capsys, flag, valu
     assert "positive and finite" in capsys.readouterr().err
 
 
+def test_decouple_rel_tol_of_one_exits_one(fixture_files, capsys):
+    tmp_path, paths = fixture_files
+    assert main(fit_args(paths, tmp_path / "m.json", ["--rel-tol", "1"])) == 1
+    assert "rel_tol must be positive and below 1" in capsys.readouterr().err
+
+
 def test_predict_round_trip(fixture_files, capsys):
     tmp_path, paths = fixture_files
     model_path = tmp_path / "model.json"

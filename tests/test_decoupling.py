@@ -8,25 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from decoupline import decoupling
 from decoupline.bspline import (
+    ProjectionResult,
     Representation,
+    SplineBasis,
+    _nonneg_stacked,
     augment,
     derivative_design_matrix,
     design_matrix,
     determine_knots,
     integral_design_matrix,
+    leaky_relu_fallback,
 )
 from decoupline.decoupling import (
     STALL_SWEEPS,
     Certification,
     CmtfConfig,
     Constraint,
-    ProjectionResult,
     SplineFunction,
-    _nonneg_stacked,
     bspline_projection,
     certify_monotone,
     decouple,
-    leaky_relu_fallback,
     load_model,
     normalize_columns_w0t,
     objective_terms,
@@ -90,6 +91,10 @@ def test_config_validation_errors():
         with pytest.raises(ValueError, match="lam must be positive"):
             CmtfConfig(**good, lam=bad)
         with pytest.raises(ValueError, match="rel_tol"):
+            CmtfConfig(**good, rel_tol=bad)
+    # at rel_tol >= 1 no sweep could count as a drop of the best objective
+    for bad in (1.0, 1e300):
+        with pytest.raises(ValueError, match="rel_tol must be positive and below 1"):
             CmtfConfig(**good, rel_tol=bad)
     with pytest.raises(ValueError, match="DERIVATIVE"):
         CmtfConfig(**good, constraint=Constraint.MONOTONE_INCREASING,
@@ -930,7 +935,7 @@ def _mono_fit_counting_nnls(monkeypatch, warm_start: bool):
         iterations.append(out.iterations)
         return out
 
-    monkeypatch.setattr(decoupling, "nnls", counted)
+    monkeypatch.setattr("decoupline.bspline.nnls", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model, state = decouple(J, F, samples.X, cfg)
@@ -1060,6 +1065,52 @@ def test_certified_function_rep_really_is_increasing():
     assert certify_monotone(fn) is Certification.CERTIFIED_INCREASING
     u = np.linspace(-1, 1, 500)
     assert np.all(np.diff(fn.value(u)) >= -1e-12)
+
+
+def reference_certificate(knots, degree, c):
+    """The FUNCTION-branch sign test written out: steps at degree 0, else
+    degree * (c[l+1] - c[l]) / (t[l+degree+1] - t[l+1]) on every nonempty gap."""
+    diffs = np.diff(c)
+    if degree > 0:
+        gaps = knots[degree + 1 : degree + c.size] - knots[1 : c.size]
+        live = gaps > 0
+        diffs = degree * diffs[live] / gaps[live]
+    ok = bool(np.all(diffs >= decoupling.CERT_COEFF_TOL))
+    return Certification.CERTIFIED_INCREASING if ok else Certification.NOT_CERTIFIED
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("crowded", [False, True], ids=["distinct", "crowded"])
+def test_certify_function_rep_matches_the_ratio_rule(degree, crowded):
+    rng = np.random.default_rng(10 * degree + crowded)
+    df = 2 * degree + 4
+    interior = np.sort(rng.uniform(0.05, 0.95, df - degree - 1))
+    if crowded:
+        # one interior knot repeated degree + 1 times (twice at degree 0):
+        # an empty span, and at degree >= 1 one empty gap t[l+degree+1] -
+        # t[l+1], whose coefficient step l the rule skips
+        interior[1 : 2 + max(degree, 1)] = interior[1]
+    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    basis = SplineBasis(degree=degree, df=df, knots=knots)
+    assert np.any(np.diff(knots[degree : knots.size - degree]) == 0) == crowded
+    skipped = None
+    if degree > 0:
+        empty = np.flatnonzero(knots[degree + 1 : degree + df] == knots[1:df])
+        assert empty.size == crowded
+        skipped = int(empty[0]) if crowded else None
+    for trial in range(20):
+        steps = rng.uniform(0.0, 1.0, df - 1) * (rng.random(df - 1) > 0.3)
+        spline = rng.standard_normal() + np.concatenate([[0.0], np.cumsum(steps)])
+        down = spline.copy()
+        # the first trial steps down across the skipped gap
+        k = skipped if trial == 0 and skipped is not None else int(rng.integers(df - 1))
+        down[k + 1 :] -= steps[k] + rng.uniform(0.1, 1.0)
+        for coeffs, want_ok in ((spline, True), (down, k == skipped)):
+            c = np.concatenate([[rng.standard_normal()], coeffs])
+            got = certify_monotone(SplineFunction(basis, c, Representation.FUNCTION))
+            assert got is reference_certificate(knots, degree, coeffs)
+            want = Certification.CERTIFIED_INCREASING if want_ok else Certification.NOT_CERTIFIED
+            assert got is want, (trial, k)
 
 
 # persistence

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from decoupline.experiments import (
     write_counts,
     write_records,
 )
+from decoupline.sysgen import builtin_mono, builtin_trig
 from decoupline.tensor3 import Tensor3, frob_norm_sq
 
 
@@ -184,6 +186,27 @@ def test_records_header_and_columns(tmp_path):
         "e1,e2,poly_e1,poly_e2,mono_1,mono_2,mono_3,iterations"
     )
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("system", [builtin_trig(), builtin_mono(0)], ids=["trig", "mono"])
+def test_records_header_is_the_documented_one(tmp_path, system):
+    # the header of a record set shaped like the study's system appears
+    # verbatim in README's "File formats -> Experiment results"
+    outputs, branches = system.W1.shape
+    path = tmp_path / "results.csv"
+    write_records([make_record(errors=(1.0,) * outputs, poly_errors=(2.0,) * outputs,
+                               monotone=(True,) * branches)], path)
+    header = path.read_text().splitlines()[0]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    formats = readme.split("## File formats")[1].split("\n## ")[0]
+    results = formats.split("* Experiment results")[1]
+    assert f"\n  {header}\n" in results
+    counts = tmp_path / "counts.csv"
+    write_counts({(False, 8): 1, (True, 8): 2}, counts)
+    arm_rows = [line.split(",")[0] for line in counts.read_text().splitlines()]
+    assert arm_rows == ["arm", "unconstrained", "constrained"]
+    assert "`arm,df_<df>,…`" in results
+    assert all(f"`{row}`" in results for row in arm_rows[1:])
 
 
 def test_write_records_rejects_empty(tmp_path):
