@@ -28,10 +28,8 @@ from .experiments import (
     ExperimentSpec,
     RunRecord,
     error_tensor,
-    mono_spec,
     output_error,
     run_experiment,
-    trig_spec,
 )
 from .sysgen import (
     SampleSet,
@@ -65,10 +63,8 @@ __all__ = [
     "ExperimentSpec",
     "RunRecord",
     "error_tensor",
-    "mono_spec",
     "output_error",
     "run_experiment",
-    "trig_spec",
     "SampleSet",
     "SyntheticSystem",
     "builtin_mono",

@@ -2,7 +2,9 @@
 
 Subcommands: decouple (fit a model from tensor/matrix text files),
 experiment (run a canned sweep), certify (monotonicity certificates of a
-saved model), predict (evaluate a saved model on new inputs).
+saved model), predict (evaluate a saved model on new inputs). Defaults
+are CmtfConfig's and ExperimentSpec's; only --rank, --degree and --dof,
+which CmtfConfig requires, set theirs here.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from .decoupling import (
     save_model,
     write_diagnostics,
 )
-from .experiments import (
-    median_table,
-    mono_spec,
-    monotone_counts,
-    run_experiment,
-    trig_spec,
-)
+from .experiments import ExperimentSpec, median_table, monotone_counts, run_experiment
 from .tensor3 import read_matrix, read_tensor, write_matrix
 
 
@@ -54,28 +50,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--rank", type=int, default=3)
     p_dec.add_argument("--degree", type=int, default=3)
     p_dec.add_argument("--dof", type=int, default=16)
-    p_dec.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p_dec.add_argument("--constraint", choices=sorted(c.value for c in Constraint), default="none")
-    p_dec.add_argument("--rep", choices=sorted(r.value for r in Representation), default="function")
-    p_dec.add_argument("--seed", type=int, default=0)
-    p_dec.add_argument("--max-iter", type=int, default=200)
+    p_dec.add_argument("--lambda", dest="lam", type=float, default=CmtfConfig.lam)
+    constraints, reps = sorted(c.value for c in Constraint), sorted(r.value for r in Representation)
+    p_dec.add_argument("--constraint", choices=constraints, default=CmtfConfig.constraint.value)
+    p_dec.add_argument("--rep", choices=reps, default=CmtfConfig.representation.value)
+    p_dec.add_argument("--seed", type=int, default=CmtfConfig.seed)
+    p_dec.add_argument("--max-iter", type=int, default=CmtfConfig.max_iter)
     p_dec.add_argument(
         "--rel-tol",
         type=float,
-        default=1e-8,
+        default=CmtfConfig.rel_tol,
         help="stop when one sweep changes the objective by at most this times "
         f"the previous objective, or when {STALL_SWEEPS} sweeps in a row do not "
         "lower the best objective by more than this times the best; must lie "
-        "in (0, 1), and values near 1 stop within a few sweeps (default: 1e-8)",
+        "in (0, 1), and values near 1 stop within a few sweeps (default: %(default)s)",
     )
     p_dec.add_argument("--diagnostics", help="write per-iteration CSV here")
     p_dec.add_argument("--out", required=True, help="model JSON output path")
 
     p_exp = sub.add_parser("experiment", help="run a canned sweep")
     p_exp.add_argument("kind", choices=("trig", "mono"))
-    p_exp.add_argument("--runs", type=int, default=30)
-    p_exp.add_argument("--samples", type=int, default=100)
-    p_exp.add_argument("--seed", type=int, default=0, help="base seed")
+    p_exp.add_argument("--runs", type=int, default=ExperimentSpec.runs)
+    p_exp.add_argument("--samples", type=int, default=ExperimentSpec.samples)
+    p_exp.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="base seed")
     p_exp.add_argument(
         "--lambda",
         dest="lam",
@@ -128,18 +125,12 @@ def _cmd_decouple(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    maker = trig_spec if args.kind == "trig" else mono_spec
-    overrides = dict(
-        runs=args.runs,
-        samples=args.samples,
-        base_seed=args.seed,
-        out_dir=args.out_dir,
-        plots=args.plots,
+    # an override left out is None, which takes the study's protocol value
+    spec = ExperimentSpec(
+        kind=args.kind, degrees=args.degrees, dfs=args.dfs, runs=args.runs,
+        samples=args.samples, lam=args.lam, base_seed=args.seed, out_dir=args.out_dir,
+        plots=args.plots, max_iter=args.max_iter, rel_tol=args.rel_tol,
     )
-    for name in ("lam", "degrees", "dfs", "max_iter", "rel_tol"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    spec = maker(**overrides)
     records = run_experiment(spec)
     print(f"{len(records)} runs recorded in {spec.out_dir}/results.csv")
     print("\n".join(_summary_lines(spec, records)))

@@ -368,13 +368,16 @@ def certify_monotone(fn: SplineFunction) -> Certification:
 
     DERIVATIVE representation: the spline IS g', so its coefficients must
     all clear -CERT_COEFF_TOL. FUNCTION representation: the same test on
-    the derivative spline's coefficients from _derivative_map, which skips
-    empty knot spans; at degree 0, on the steps between coefficients. The
-    test is sufficient, not necessary.
+    the derivative spline's coefficients from _derivative_map, and on the
+    coefficient step c_l - c_{l-1} wherever that map's weight w_l is 0 at an
+    interior row l: there an interior knot has multiplicity >= degree + 1
+    (every knot at degree 0), and the value jumps by that step. The test is
+    sufficient, not necessary.
     """
-    c, d = fn.coeffs[1:], fn.basis.degree
+    c = fn.coeffs[1:]
     if fn.representation is Representation.FUNCTION:
-        c = np.diff(c) if d == 0 else _derivative_map(fn.basis.knots[None, :], d)[0] @ c
+        dmap = _derivative_map(fn.basis.knots[None, :], fn.basis.degree)[0]
+        c = np.concatenate([dmap @ c, np.diff(c)[np.diagonal(dmap)[1:] == 0]])
     ok = bool(np.all(c >= CERT_COEFF_TOL))
     return Certification.CERTIFIED_INCREASING if ok else Certification.NOT_CERTIFIED
 

@@ -3,10 +3,11 @@
 Two canned studies, both run by run_experiment: a trigonometric 2-in 2-out
 system fitted over a grid of spline degrees and degrees of freedom, and a
 monotone 3-in 3-out system fitted with and without the monotonicity
-constraint. _STUDIES holds the three facts that set them apart: the system
-drawn for a seed, the branch representation, and the constraint arms. Each
-run records the tensor reconstruction error, relative output errors (from
-the spline branches and from a degree-10 polynomial refit of them),
+constraint. _STUDIES holds what sets them apart: the system drawn for a
+seed, the branch representation, the constraint arms, and the protocol
+(grids, lam, max_iter, rel_tol) that ExperimentSpec falls back on. Each run
+records the tensor reconstruction error, relative output errors (from the
+spline branches and from a degree-10 polynomial refit of them),
 per-branch monotonicity certificates, and iteration counts, all
 reproducible from one base seed.
 """
@@ -14,7 +15,7 @@ reproducible from one base seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -40,8 +41,6 @@ from .tensor3 import Tensor3, frob_norm_sq, reconstruct
 __all__ = [
     "RunRecord",
     "ExperimentSpec",
-    "trig_spec",
-    "mono_spec",
     "error_tensor",
     "output_error",
     "poly_refit",
@@ -56,14 +55,27 @@ __all__ = [
 # both studies draw their samples from the box (LO, HI)^m
 LO, HI = -1.5, 1.5
 
-# kind -> (system for a seed, branch representation, constraint arms); every
-# arm is fitted on the same system and samples
+# kind -> (system for a seed, branch representation, constraint arms,
+# protocol); every arm is fitted on the same system and samples, and the
+# protocol fills each ExperimentSpec field left None
 _STUDIES = {
-    "trig": (lambda seed: builtin_trig(), Representation.FUNCTION, (Constraint.NONE,)),
+    "trig": (
+        lambda seed: builtin_trig(),
+        Representation.FUNCTION,
+        (Constraint.NONE,),
+        # a low coupling weight lets the value fit refine the shared factors
+        # without the min-norm R step biasing wide-W1 systems; 800 sweeps
+        # with a tight relative tolerance runs every grid cell to a fixed point
+        dict(degrees=(1, 2, 3), dfs=tuple(range(4, 29, 2)), lam=0.01, max_iter=800, rel_tol=1e-12),
+    ),
     "mono": (
         builtin_mono,
         Representation.DERIVATIVE,
         (Constraint.NONE, Constraint.MONOTONE_INCREASING),
+        # the plain fit protocol: the 3x3 system has a square full-rank W1,
+        # so the low coupling weight trig needs against min-norm deflation
+        # buys nothing here, and the shorter budget keeps the paired sweep fast
+        dict(degrees=(4,), dfs=tuple(range(8, 21, 2)), lam=0.1, max_iter=200, rel_tol=1e-8),
     ),
 }
 
@@ -91,60 +103,40 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Grid and sampling settings for one sweep."""
+    """One sweep; ExperimentSpec(kind) runs the study's full protocol.
+
+    Each of degrees, dfs, lam, max_iter and rel_tol left None takes its value
+    from the study's _STUDIES entry, so each one given replaces one value.
+    """
 
     kind: str
-    degrees: tuple
-    dfs: tuple
+    degrees: tuple | None = None
+    dfs: tuple | None = None
     runs: int = 30
     samples: int = 100
-    # a low coupling weight lets the value fit refine the shared factors
-    # without the min-norm R step biasing wide-W1 systems; 800 sweeps with a
-    # tight relative tolerance runs every grid cell to a fixed point
-    lam: float = 0.01
+    lam: float | None = None
     base_seed: int = 0
     out_dir: Path | None = None
     plots: bool = False
-    max_iter: int = 800
-    rel_tol: float = 1e-12
+    max_iter: int | None = None
+    rel_tol: float | None = None
 
     def __post_init__(self):
         if self.kind not in _STUDIES:
             kinds = " or ".join(map(repr, _STUDIES))
             raise ValueError(f"kind must be {kinds}, got {self.kind!r}.")
+        *_, protocol = _STUDIES[self.kind]
+        for name, value in protocol.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if not self.degrees or not self.dfs:
             raise ValueError("degree and df grids must be nonempty.")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}.")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}.")
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
-
-
-def trig_spec(**overrides) -> ExperimentSpec:
-    """Default trig sweep: degrees 1..3, df 4,6,...,28, 30 runs."""
-    base = ExperimentSpec(
-        kind="trig", degrees=(1, 2, 3), dfs=tuple(range(4, 29, 2))
-    )
-    return replace(base, **overrides) if overrides else base
-
-
-def mono_spec(**overrides) -> ExperimentSpec:
-    """Default mono sweep: degree 4, df 8,10,...,20, 30 paired runs.
-
-    Uses the plain fit protocol (lam 0.1, 200 sweeps, rel_tol 1e-8): the
-    3x3 system has a square full-rank W1, so the low coupling weight the
-    trig sweep needs against min-norm deflation buys nothing here, and the
-    shorter budget keeps the paired sweep fast.
-    """
-    base = ExperimentSpec(
-        kind="mono",
-        degrees=(4,),
-        dfs=tuple(range(8, 21, 2)),
-        lam=0.1,
-        max_iter=200,
-        rel_tol=1e-8,
-    )
-    return replace(base, **overrides) if overrides else base
 
 
 def error_tensor(J: Tensor3, J_hat) -> float:
@@ -254,7 +246,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
     metrics and a warning, and the sweep goes on. With spec.out_dir set,
     results.csv (and counts.csv for mono, SVG plots on request) go there.
     """
-    system_for, representation, arms = _STUDIES[spec.kind]
+    system_for, representation, arms, _ = _STUDIES[spec.kind]
     records: list = []
     for degree, df, run in product(spec.degrees, spec.dfs, range(spec.runs)):
         seed = spec.base_seed + run
@@ -262,7 +254,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
         sample_set = sample_for_system(sys, spec.samples, LO, HI, seed)
         for constraint in arms:
             config = CmtfConfig(
-                rank=3,
+                rank=sys.dims[2],
                 degree=degree,
                 df=df,
                 lam=spec.lam,
@@ -403,8 +395,10 @@ def median_table(records: list, metric) -> dict:
     """
     cells: dict = {}
     for rec in records:
-        cells.setdefault((rec.degree, rec.df, rec.constrained), []).append(
-            metric(rec)
-        )
-    # failed runs carry nan metrics and are recorded but not aggregated
-    return {key: float(np.nanmedian(vals)) for key, vals in cells.items()}
+        value = metric(rec)
+        cell = cells.setdefault((rec.degree, rec.df, rec.constrained), [])
+        if not np.isnan(value):
+            cell.append(value)
+    # failed runs carry nan metrics and are recorded but not aggregated; a
+    # cell where every run failed has no median
+    return {key: float(np.median(v)) if v else float("nan") for key, v in cells.items()}

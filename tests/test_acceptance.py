@@ -30,10 +30,9 @@ from decoupline.decoupling import (
     normalize_columns_w0t,
 )
 from decoupline.experiments import (
-    mono_spec,
+    ExperimentSpec,
     monotone_counts,
     run_experiment,
-    trig_spec,
 )
 from decoupline.solvers import nnls
 from decoupline.sysgen import (
@@ -66,7 +65,7 @@ def _cell_medians(records, degree, df):
 
 @pytest.fixture(scope="module")
 def trig_grid():
-    spec = trig_spec(runs=RUNS, degrees=(3,), dfs=tuple(range(12, 29, 2)))
+    spec = ExperimentSpec(kind="trig", runs=RUNS, degrees=(3,), dfs=tuple(range(12, 29, 2)))
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -95,7 +94,7 @@ def test_criterion_1_trig_accuracy_grid(trig_grid):
 
 
 def test_criterion_2_degree_ordering():
-    spec = trig_spec(runs=RUNS, degrees=(1, 2, 3), dfs=(8,))
+    spec = ExperimentSpec(kind="trig", runs=RUNS, degrees=(1, 2, 3), dfs=(8,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records = run_experiment(spec)
@@ -117,7 +116,7 @@ def test_criterion_2_degree_ordering():
 
 @pytest.fixture(scope="module")
 def mono_records():
-    spec = mono_spec(runs=RUNS)
+    spec = ExperimentSpec(kind="mono", runs=RUNS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records = run_experiment(spec)

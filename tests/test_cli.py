@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -9,8 +10,9 @@ import pytest
 
 from decoupline import cli
 from decoupline.cli import main
-from decoupline.decoupling import load_model, predict
-from decoupline.experiments import median_table, monotone_counts, read_records
+from decoupline.bspline import Constraint, Representation
+from decoupline.decoupling import CmtfConfig, load_model, predict
+from decoupline.experiments import ExperimentSpec, median_table, monotone_counts, read_records
 from decoupline.sysgen import builtin_trig, jacobian_tensor, sample_for_system, zeroth_matrix
 from decoupline.tensor3 import read_matrix, write_matrix, write_tensor
 
@@ -98,6 +100,76 @@ def test_decouple_rel_tol_of_one_exits_one(fixture_files, capsys):
     tmp_path, paths = fixture_files
     assert main(fit_args(paths, tmp_path / "m.json", ["--rel-tol", "1"])) == 1
     assert "rel_tol must be positive and below 1" in capsys.readouterr().err
+
+
+# the settings each command builds from its options
+
+
+class Built(Exception):
+    """Stops a command once it has handed its settings on."""
+
+
+def built_by(monkeypatch, name, argv):
+    """The settings object the command passes last to cli.<name>."""
+    seen = []
+
+    def stand_in(*args):
+        seen.append(args[-1])
+        raise Built
+
+    monkeypatch.setattr(cli, name, stand_in)
+    with pytest.raises(Built):
+        main(argv)
+    return seen[0]
+
+
+def test_decouple_builds_the_config_of_its_options(fixture_files, monkeypatch):
+    _, paths = fixture_files
+    files = [
+        "decouple", "--tensor", str(paths["tensor"]), "--zeroth", str(paths["zeroth"]),
+        "--samples", str(paths["samples"]), "--out", "m.json",
+    ]
+    assert built_by(monkeypatch, "decouple", files) == CmtfConfig(rank=3, degree=3, df=16)
+    got = built_by(monkeypatch, "decouple", files + [
+        "--rank", "4", "--degree", "2", "--dof", "7", "--lambda", "0.3",
+        "--constraint", "increasing", "--rep", "derivative", "--seed", "9",
+        "--max-iter", "17", "--rel-tol", "1e-5",
+    ])
+    want = CmtfConfig(
+        rank=4, degree=2, df=7, lam=0.3, representation=Representation.DERIVATIVE,
+        constraint=Constraint.MONOTONE_INCREASING, max_iter=17, rel_tol=1e-5, seed=9,
+    )
+    assert got == want
+    default = CmtfConfig(rank=3, degree=3, df=16)
+    for f in fields(CmtfConfig):
+        assert getattr(got, f.name) != getattr(default, f.name), f.name
+
+
+def test_experiment_builds_the_spec_of_its_options(tmp_path, monkeypatch):
+    got = built_by(monkeypatch, "run_experiment", ["experiment", "trig"])
+    assert got == ExperimentSpec(kind="trig", out_dir="out")
+    got = built_by(monkeypatch, "run_experiment", [
+        "experiment", "mono", "--runs", "2", "--samples", "40", "--seed", "5",
+        "--lambda", "0.2", "--degrees", "3,4", "--dfs", "9,11", "--max-iter", "12",
+        "--rel-tol", "1e-4", "--out-dir", str(tmp_path), "--plots",
+    ])
+    want = ExperimentSpec(
+        kind="mono", degrees=(3, 4), dfs=(9, 11), runs=2, samples=40, lam=0.2,
+        base_seed=5, out_dir=tmp_path, plots=True, max_iter=12, rel_tol=1e-4,
+    )
+    assert got == want
+    default = ExperimentSpec(kind="mono", out_dir="out")
+    for f in fields(ExperimentSpec):
+        if f.name != "kind":
+            assert getattr(got, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_experiment_without_samples_exits_one(tmp_path, capsys, samples):
+    code = main(["experiment", "trig", "--samples", samples, "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_predict_round_trip(fixture_files, capsys):

@@ -1067,14 +1067,30 @@ def test_certified_function_rep_really_is_increasing():
     assert np.all(np.diff(fn.value(u)) >= -1e-12)
 
 
+def test_certify_function_rep_rejects_a_jump_down_at_a_full_knot():
+    # an interior knot of multiplicity degree + 1 makes the spline
+    # discontinuous: there the value drops by the coefficient step, 1 - 5
+    knots = np.array([0.0] * 4 + [0.3] + [0.5] * 4 + [0.7] + [1.0] * 4)
+    c = np.arange(10.0)
+    c[5:] -= 5.0
+    fn = SplineFunction(SplineBasis(degree=3, df=10, knots=knots), np.concatenate([[0.0], c]),
+                        Representation.FUNCTION)
+    assert np.diff(fn.value(np.linspace(0.0, 1.0, 2001))).min() < -3.9
+    assert certify_monotone(fn) is Certification.NOT_CERTIFIED
+    c[5:] += 5.0
+    fn = SplineFunction(fn.basis, np.concatenate([[0.0], c]), Representation.FUNCTION)
+    assert certify_monotone(fn) is Certification.CERTIFIED_INCREASING
+
+
 def reference_certificate(knots, degree, c):
-    """The FUNCTION-branch sign test written out: steps at degree 0, else
-    degree * (c[l+1] - c[l]) / (t[l+degree+1] - t[l+1]) on every nonempty gap."""
+    """The FUNCTION-branch sign test written out: degree * (c[l+1] - c[l]) /
+    (t[l+degree+1] - t[l+1]) on every nonempty gap, and the step c[l+1] - c[l]
+    itself on an empty one (a knot of multiplicity degree + 1, where the value
+    jumps by that step; every gap at degree 0)."""
     diffs = np.diff(c)
-    if degree > 0:
-        gaps = knots[degree + 1 : degree + c.size] - knots[1 : c.size]
-        live = gaps > 0
-        diffs = degree * diffs[live] / gaps[live]
+    gaps = knots[degree + 1 : degree + c.size] - knots[1 : c.size]
+    live = gaps > 0
+    diffs[live] = degree * diffs[live] / gaps[live]
     ok = bool(np.all(diffs >= decoupling.CERT_COEFF_TOL))
     return Certification.CERTIFIED_INCREASING if ok else Certification.NOT_CERTIFIED
 
@@ -1088,24 +1104,24 @@ def test_certify_function_rep_matches_the_ratio_rule(degree, crowded):
     if crowded:
         # one interior knot repeated degree + 1 times (twice at degree 0):
         # an empty span, and at degree >= 1 one empty gap t[l+degree+1] -
-        # t[l+1], whose coefficient step l the rule skips
+        # t[l+1], across which the value jumps by coefficient step l
         interior[1 : 2 + max(degree, 1)] = interior[1]
     knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
     basis = SplineBasis(degree=degree, df=df, knots=knots)
     assert np.any(np.diff(knots[degree : knots.size - degree]) == 0) == crowded
-    skipped = None
+    jump = None
     if degree > 0:
         empty = np.flatnonzero(knots[degree + 1 : degree + df] == knots[1:df])
         assert empty.size == crowded
-        skipped = int(empty[0]) if crowded else None
+        jump = int(empty[0]) if crowded else None
     for trial in range(20):
         steps = rng.uniform(0.0, 1.0, df - 1) * (rng.random(df - 1) > 0.3)
         spline = rng.standard_normal() + np.concatenate([[0.0], np.cumsum(steps)])
         down = spline.copy()
-        # the first trial steps down across the skipped gap
-        k = skipped if trial == 0 and skipped is not None else int(rng.integers(df - 1))
+        # the first trial steps down across the empty gap
+        k = jump if trial == 0 and jump is not None else int(rng.integers(df - 1))
         down[k + 1 :] -= steps[k] + rng.uniform(0.1, 1.0)
-        for coeffs, want_ok in ((spline, True), (down, k == skipped)):
+        for coeffs, want_ok in ((spline, True), (down, False)):
             c = np.concatenate([[rng.standard_normal()], coeffs])
             got = certify_monotone(SplineFunction(basis, c, Representation.FUNCTION))
             assert got is reference_certificate(knots, degree, coeffs)

@@ -10,13 +10,11 @@ from decoupline.experiments import (
     RunRecord,
     error_tensor,
     median_table,
-    mono_spec,
     monotone_counts,
     output_error,
     poly_refit,
     read_records,
     run_experiment,
-    trig_spec,
     write_counts,
     write_records,
 )
@@ -150,15 +148,38 @@ def test_spec_validation():
         ExperimentSpec(kind="trig", degrees=(), dfs=(8,))
     with pytest.raises(ValueError, match="runs"):
         ExperimentSpec(kind="trig", degrees=(3,), dfs=(8,), runs=0)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ExperimentSpec(kind="trig", samples=samples)
 
 
 def test_spec_factories():
-    t = trig_spec()
-    assert t.kind == "trig" and t.degrees == (1, 2, 3)
-    assert t.dfs == tuple(range(4, 29, 2)) and t.runs == 30
-    m = mono_spec(runs=5)
-    assert m.kind == "mono" and m.degrees == (4,) and m.runs == 5
-    assert m.dfs == tuple(range(8, 21, 2))
+    # ExperimentSpec(kind=...) is the study's full protocol
+    t = ExperimentSpec(kind="trig")
+    assert t.degrees == (1, 2, 3)
+    assert t.dfs == (4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28)
+    assert (t.lam, t.max_iter, t.rel_tol) == (0.01, 800, 1e-12)
+    assert (t.runs, t.samples, t.base_seed) == (30, 100, 0)
+    m = ExperimentSpec(kind="mono")
+    assert m.degrees == (4,)
+    assert m.dfs == (8, 10, 12, 14, 16, 18, 20)
+    assert (m.lam, m.max_iter, m.rel_tol) == (0.1, 200, 1e-8)
+    assert (m.runs, m.samples, m.base_seed) == (30, 100, 0)
+    # each setting given replaces one value
+    m = ExperimentSpec(kind="mono", runs=5, lam=0.02)
+    assert (m.runs, m.lam) == (5, 0.02)
+    assert (m.degrees, m.max_iter, m.rel_tol) == ((4,), 200, 1e-8)
+
+
+@pytest.mark.parametrize("kind", ["trig", "mono"])
+def test_protocol_is_the_documented_one(kind):
+    # the study's row of README's protocol table under "Experiments"
+    s = ExperimentSpec(kind=kind)
+    assert s.dfs == tuple(range(s.dfs[0], s.dfs[-1] + 1, 2))
+    row = (f"| {kind} | {', '.join(map(str, s.degrees))} | {s.dfs[0]}, {s.dfs[1]}, ..., "
+           f"{s.dfs[-1]} | {s.lam} | {s.max_iter} | {s.rel_tol:.0e} |").replace("e-0", "e-")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"\n{row}\n" in readme.split("## Experiments")[1].split("\n## ")[0]
 
 
 # persistence
@@ -251,12 +272,29 @@ def test_median_table():
     assert table == {(3, 12, False): 2.0}
 
 
+def test_median_table_all_failed_cell_is_nan_without_warning():
+    # failed runs carry nan; a cell of only failed runs has no median
+    nan = float("nan")
+    records = [
+        make_record(run_index=0, df=8, error_j=nan),
+        make_record(run_index=1, df=8, error_j=nan),
+        make_record(run_index=0, df=10, error_j=nan),
+        make_record(run_index=1, df=10, error_j=0.4),
+        make_record(run_index=2, df=10, error_j=0.2),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = median_table(records, lambda r: r.error_j)
+    assert math.isnan(table[(3, 8, False)])
+    assert table[(3, 10, False)] == pytest.approx(0.3)
+
+
 # sweep runners (reduced budgets: these check plumbing, not accuracy)
 
 
 def test_trig_runner_smoke(tmp_path):
-    spec = trig_spec(
-        degrees=(3,), dfs=(8,), runs=2, samples=60, max_iter=25, out_dir=tmp_path
+    spec = ExperimentSpec(
+        kind="trig", degrees=(3,), dfs=(8,), runs=2, samples=60, max_iter=25, out_dir=tmp_path
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -273,7 +311,7 @@ def test_trig_runner_smoke(tmp_path):
 
 
 def test_mono_runner_smoke(tmp_path):
-    spec = mono_spec(dfs=(8,), runs=2, samples=60, max_iter=20, out_dir=tmp_path)
+    spec = ExperimentSpec(kind="mono", dfs=(8,), runs=2, samples=60, max_iter=20, out_dir=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records = run_experiment(spec)
@@ -293,8 +331,8 @@ def test_trig_runner_is_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
-        spec = trig_spec(
-            degrees=(2,), dfs=(6,), runs=2, samples=50, max_iter=15, out_dir=out
+        spec = ExperimentSpec(
+            kind="trig", degrees=(2,), dfs=(6,), runs=2, samples=50, max_iter=15, out_dir=out
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -304,7 +342,7 @@ def test_trig_runner_is_deterministic(tmp_path):
 
 def test_failed_run_is_recorded_not_fatal(tmp_path):
     # 20 samples cannot support df=28: the fit raises, the sweep records nan
-    spec = trig_spec(degrees=(3,), dfs=(28,), runs=1, samples=20, out_dir=tmp_path)
+    spec = ExperimentSpec(kind="trig", degrees=(3,), dfs=(28,), runs=1, samples=20, out_dir=tmp_path)
     with pytest.warns(UserWarning, match="failed"):
         records = run_experiment(spec)
     assert len(records) == 1
