@@ -25,7 +25,7 @@ from .decoupling import (
     save_model,
     write_diagnostics,
 )
-from .experiments import ExperimentSpec, median_table, monotone_counts, run_experiment
+from .experiments import _STUDIES, ExperimentSpec, median_table, monotone_counts, run_experiment
 from .tensor3 import read_matrix, read_tensor, write_matrix
 
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--out", required=True, help="model JSON output path")
 
     p_exp = sub.add_parser("experiment", help="run a canned sweep")
-    p_exp.add_argument("kind", choices=("trig", "mono"))
+    p_exp.add_argument("kind", choices=tuple(_STUDIES))
     p_exp.add_argument("--runs", type=int, default=ExperimentSpec.runs)
     p_exp.add_argument("--samples", type=int, default=ExperimentSpec.samples)
     p_exp.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="base seed")

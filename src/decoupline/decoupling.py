@@ -344,8 +344,9 @@ def decouple(J, F, samples, config: CmtfConfig):
 def predict(model: DecoupledModel, X) -> np.ndarray:
     """Evaluate the fitted f(x) = W1 g(W0 x) columnwise on an m x T matrix.
 
-    Each branch is evaluated on the window of basis functions alive at each
-    point, so memory per branch is O(T * (degree + 2)), not O(T * df).
+    Each branch is evaluated from its table of per-span polynomial pieces
+    (SplineFunction.value), a block of points at a time, so memory per
+    branch is O(T), not O(T * df).
     Columns with a NaN or an infinite entry are rejected.
     """
     X = np.asarray(X, dtype=float)

@@ -8,6 +8,7 @@ from scipy.interpolate import BSpline
 
 from decoupline import bspline
 from decoupline.bspline import (
+    Constraint,
     Representation,
     SplineBasis,
     SplineFunction,
@@ -15,10 +16,12 @@ from decoupline.bspline import (
     _find_spans,
     _local_basis,
     _sorted_knots,
+    _window_level,
     _window_gram,
     _window_rhs,
     _window_values,
     augment,
+    bspline_projection,
     derivative_design_matrix,
     design_matrix,
     determine_knots,
@@ -344,6 +347,7 @@ CROWDED = {
     2: [0, 0, 0, 0.25, 0.5, 0.5, 0.5, 1, 1, 1],
     3: [0, 0, 0, 0, 0.2, 0.2, 0.7, 0.7, 0.7, 1, 1, 1, 1],
     4: [0, 0, 0, 0, 0, 0.4, 0.4, 0.4, 0.4, 1, 1, 1, 1, 1],
+    5: [0, 0, 0, 0, 0, 0, 0.1, 0.5, 0.5, 0.5, 0.5, 0.5, 1, 1, 1, 1, 1, 1],
 }
 
 
@@ -403,21 +407,79 @@ def test_span_local_evaluation_matches_dense_reference(rep, degree):
             assert_matches_dense(fn, u, derivative=True)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def spline_cases(degree, rng):
+    """(basis, points, coefficients) over a quantile and a crowded basis, at
+    two coefficient scales; the points lie inside, outside and on every knot."""
+    for basis in (quantile_basis(seed=degree, df=degree + 8, degree=degree)[0], crowded_basis(degree)):
+        u = evaluation_points(basis, rng)
+        for scale in (1.0, 1e8):
+            yield basis, u, rng.standard_normal(basis.df + 1) * scale * (-1.0) ** np.arange(basis.df + 1)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_function_spline_matches_scipy_bspline(degree):
     # .derivative and derivative_design_matrix share _derivative_map, so the
     # dense reference above does not check g' on its own: scipy's BSpline
     # does. nu=1 evaluates its derivative directly; BSpline.derivative()
-    # refuses the repeated interior knots of the crowded basis
+    # refuses the repeated interior knots of the crowded basis. The
+    # DERIVATIVE value is checked against antiderivative(), the integral
+    # spline on the padded knots, which is 0 at the left end of the domain.
+    # scipy reads the B-form at each point, with no per-span table
     rng = np.random.default_rng(300 + degree)
-    for basis in (quantile_basis(seed=degree, df=degree + 8, degree=degree)[0], crowded_basis(degree)):
-        u = evaluation_points(basis, rng)
-        for scale in (1.0, 1e8):
-            c = rng.standard_normal(basis.df + 1) * scale * (-1.0) ** np.arange(basis.df + 1)
-            fn = SplineFunction(basis, c, Representation.FUNCTION)
-            spline = BSpline(basis.knots, c[1:], degree, extrapolate=True)
-            for got, want in ((fn.value(u), c[0] + spline(u)), (fn.derivative(u), spline(u, nu=1))):
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for basis, u, c in spline_cases(degree, rng):
+        spline = BSpline(basis.knots, c[1:], degree, extrapolate=True)
+        fn = SplineFunction(basis, c, Representation.FUNCTION)
+        pairs = [(fn.value(u), c[0] + spline(u)), (fn.derivative(u), spline(u, nu=1))]
+        fn = SplineFunction(basis, c, Representation.DERIVATIVE)
+        pairs += [(fn.value(u), c[0] + spline.antiderivative()(u)), (fn.derivative(u), spline(u))]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_span_table_evaluation_matches_the_window_evaluator(rep, degree):
+    # in the domain the table and the per-point window agree to 64 eps of
+    # the terms they sum; outside it the window evaluator is what runs
+    rng = np.random.default_rng(600 + degree)
+    for basis, u, c in spline_cases(degree, rng):
+        fn = SplineFunction(basis, c, rep)
+        lo, hi = basis.domain
+        inside = (u >= lo) & (u <= hi)
+        spans = _find_spans(basis.knots, degree, u)
+        for derivative in (False, True):
+            order = (1 if derivative else 0) - (rep is Representation.DERIVATIVE)
+            window = _window_level(basis.knots, degree, c[1:], spans, u, order)
+            scale = np.abs(dense_level(basis, u, rep, derivative) * c[1:]).sum(axis=1)
+            if not derivative:
+                window += c[0]
+                scale += abs(c[0])
+            got = fn.derivative(u) if derivative else fn.value(u)
+            assert np.all(np.abs(got - window)[inside] <= 64 * np.finfo(float).eps * scale[inside])
+            assert np.array_equal(got[~inside], window[~inside])
+
+
+def test_certified_derivative_branch_is_nondecreasing_on_a_dense_grid():
+    # a DERIVATIVE branch with nonnegative coefficients is certified
+    # increasing; its values on a dense grid through every knot must not
+    # fall by more than the rounding of one value
+    rng = np.random.default_rng(71)
+    x = np.sort(rng.uniform(-2.0, 2.0, 200))
+    g = np.exp(x) * (x > -0.5)
+    r = np.cumsum(g) * (x[1] - x[0])
+    proj = bspline_projection(g[:, None], r[:, None], 12, 4, x[None, :], 0.1,
+                              Representation.DERIVATIVE, Constraint.MONOTONE_INCREASING)
+    branches = [SplineFunction(proj.bases[0], proj.coeffs[0], Representation.DERIVATIVE)]
+    # and flat stretches (zero coefficients) on the crowded knots at 1e8
+    for basis in map(crowded_basis, range(1, 6)):
+        c = np.abs(rng.standard_normal(basis.df + 1)) * 1e8 * (rng.uniform(size=basis.df + 1) < 0.5)
+        branches.append(SplineFunction(basis, c, Representation.DERIVATIVE))
+    for fn in branches:
+        assert np.all(fn.coeffs[1:] >= 0)
+        lo, hi = fn.basis.domain
+        u = np.sort(np.concatenate([np.linspace(lo, hi, 20001), fn.basis.knots]))
+        v = fn.value(u)
+        assert -np.diff(v).min() <= 4 * np.finfo(float).eps * np.abs(v).max()
 
 
 @pytest.mark.parametrize("rep", list(Representation))
@@ -467,6 +529,54 @@ def test_span_local_function_derivative_needs_degree_one():
     assert np.array_equal(
         SplineFunction(basis, np.ones(4), Representation.DERIVATIVE).derivative([0.3]), [1.0]
     )
+
+
+def loop_local_basis(t, degree, spans, u, below=False):
+    """_local_basis as the plain inner loop over the window, one function at a time."""
+    rows = np.arange(t.shape[0])[:, None] * t.shape[1]
+    vals = np.zeros((degree + 1,) + u.shape)
+    vals[0] = 1.0
+    left = np.empty((degree,) + u.shape)
+    right = np.empty((degree,) + u.shape)
+    lower = None
+    for j in range(1, degree + 1):
+        if below and j == degree:
+            lower = vals[:degree].copy()
+        left[j - 1] = u - np.take(t, spans + (rows - j + 1))
+        right[j - 1] = np.take(t, spans + (rows + j)) - u
+        saved = np.zeros(u.shape)
+        for r in range(j):
+            temp = vals[r] / (right[r] + left[j - r - 1])
+            vals[r] = saved + right[r] * temp
+            saved = left[j - r - 1] * temp
+        vals[j] = saved
+    return lower, vals
+
+
+def test_local_basis_equals_the_loop_recursion():
+    # the stacked levels run the loop's operations elementwise, so the
+    # bits are the same; tied interior knots leave empty spans
+    rng = np.random.default_rng(81)
+    for _ in range(300):
+        degree = int(rng.integers(1, 6))
+        df = degree + int(rng.integers(1, 8))
+        rows = int(rng.integers(1, 4))
+        grid = np.linspace(0.0, 1.0, int(rng.integers(2, 6)))
+        t = np.stack([
+            np.concatenate([np.zeros(degree + 1), np.sort(rng.choice(grid, df - degree - 1)), np.ones(degree + 1)])
+            for _ in range(rows)
+        ]) * 4.0 - 2.0
+        u = rng.uniform(-3.0, 3.0, (rows, 50))
+        spans = np.stack([_find_spans(k, degree, p) for k, p in zip(t, u)])
+        below = bool(rng.integers(2))
+        (lower, vals), (want_lower, want_vals) = (
+            f(t, degree, spans, u, below) for f in (_local_basis, loop_local_basis)
+        )
+        assert np.array_equal(vals, want_vals)
+        if below:
+            assert np.array_equal(lower, want_lower)
+        else:
+            assert lower is None
 
 
 def _window_case(bases, rng):

@@ -8,7 +8,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from decoupline import cli
+from decoupline import cli, experiments
 from decoupline.cli import main
 from decoupline.bspline import Constraint, Representation
 from decoupline.decoupling import CmtfConfig, load_model, predict
@@ -162,6 +162,19 @@ def test_experiment_builds_the_spec_of_its_options(tmp_path, monkeypatch):
     for f in fields(ExperimentSpec):
         if f.name != "kind":
             assert getattr(got, f.name) != getattr(default, f.name), f.name
+
+
+def test_experiment_kinds_are_the_study_table(tmp_path, monkeypatch):
+    # a study added to the table is a kind on the command line, with no
+    # second list to edit
+    monkeypatch.setitem(experiments._STUDIES, "trig2", experiments._STUDIES["trig"])
+    for kind in experiments._STUDIES:
+        got = built_by(monkeypatch, "run_experiment", ["experiment", kind, "--out-dir", str(tmp_path)])
+        assert got == ExperimentSpec(kind=kind, out_dir=tmp_path)
+    monkeypatch.delitem(experiments._STUDIES, "trig2")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "trig2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
