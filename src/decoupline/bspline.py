@@ -11,9 +11,13 @@ the same knots times the knot-difference map of _derivative_map.
 SplineFunction evaluates without design matrices. It converts the spline
 once to a table of its polynomial piece on each nonempty span (Taylor
 coefficients about the span midpoint, read from repeated _derivative_map
-levels); a point in the domain then costs one span search, one gather of
-a table row and Horner's rule. A point outside the domain reads the few
-basis functions alive on its boundary span instead.
+levels); a point in the domain then costs one span lookup, one gather of
+a table row and Horner's rule. The lookup reads a uniform grid over the
+domain (_span_grid), whose cells name the few spans that can own a point,
+and gives the owner of _find_spans' binary search. The fit keeps that
+search: it looks each branch's points up once per sweep, too few to repay
+building the grid. A point outside the domain reads the few basis
+functions alive on its boundary span instead.
 
 bspline_projection places every branch's knots and builds and solves its
 system: _normal_fit from span windows (function representation), or
@@ -734,6 +738,69 @@ def _span_table(basis: SplineBasis, cs: np.ndarray, order: int):
     return t[spans], mids, np.stack([level / math.factorial(k) for k, level in enumerate(levels)])
 
 
+# Most cells of the span grid per span start: the grid is made fine enough
+# for the narrowest span to cover a cell, but no finer than this.
+_GRID_CELLS_PER_SPAN = 64
+
+
+def _span_grid(starts: np.ndarray, end: float):
+    """Uniform-grid index of the sorted span starts over [starts[0], end], for _grid_owners.
+
+    A point v in [starts[0], end] falls in cell int(v * inv_h - shift),
+    with inv_h = m / (end - starts[0]) and shift = starts[0] * inv_h; the
+    cells are numbered 0 up to end's. Each rounding step is monotone in v,
+    so every start in a cell below v's lies at or before v and every start
+    in a cell above it after v, whatever the rounding: only the starts
+    sharing v's cell need comparing. m is the smallest count that makes a
+    cell no wider than the narrowest span, capped at _GRID_CELLS_PER_SPAN
+    per start, so a cell usually holds one start at most. Crowded knots
+    put more into one cell, which costs comparisons, not correctness; a
+    domain too wide or too narrow for inv_h to be finite and nonzero gets
+    one cell.
+
+    Returns (lo, end, inv_h, shift, last, window, padded): last[c], the
+    position of the last start in cells 0..c; window, the most starts in
+    one cell; padded, the starts after window - 1 copies of -inf, so that
+    padded[last[c] + k], k < window, are the window starts ending at
+    last[c].
+    """
+    lo, end = float(starts[0]), float(end)
+    width = end - lo
+    cap = _GRID_CELLS_PER_SPAN * starts.size
+    # a gap or the width may overflow to inf (and inf / inf is NaN): such a
+    # domain gets one cell, so the overflow needs no warning
+    with np.errstate(over="ignore"):
+        ratio = width / float(np.min(np.diff(starts, append=end)))
+    inv_h = (math.ceil(ratio) if ratio < cap else cap) / width
+    if not 0.0 < inv_h < math.inf:
+        inv_h = 0.0
+    shift = lo * inv_h
+    cells = (starts * inv_h - shift).astype(np.intp)
+    counts = np.bincount(cells, minlength=int(end * inv_h - shift) + 1)
+    window = int(counts.max())
+    padded = np.concatenate([np.full(window - 1, -np.inf), starts])
+    return lo, end, inv_h, shift, np.cumsum(counts) - 1, window, padded
+
+
+def _grid_owners(grid, u: np.ndarray) -> np.ndarray:
+    """_owners(starts, u) through the _span_grid index of starts; a NaN point gets 0.
+
+    A point is first clamped into [starts[0], end] (a NaN to starts[0]),
+    which moves no point to another owner. Its owner is last[c] of its
+    cell c less the window starts ending there that lie right of it; that
+    needs no clip, as starts[0] lies at or before every clamped point.
+    """
+    lo, end, inv_h, shift, last, window, padded = grid
+    v = np.fmin(np.fmax(u, lo), end)
+    cell = v * inv_h
+    cell -= shift
+    at = np.take(last, cell.astype(np.intp))
+    own = at
+    for k in range(window):
+        own = own - (np.take(padded[k:], at) > v)
+    return own
+
+
 def _span_local(basis: SplineBasis, cs: np.ndarray, u, order: int) -> np.ndarray:
     """sum_j cs[j] * (B_j, B_j' or int B_j)(u) without a design matrix.
 
@@ -742,8 +809,15 @@ def _span_local(basis: SplineBasis, cs: np.ndarray, u, order: int) -> np.ndarray
     design_matrix, derivative_design_matrix and integral_design_matrix
     products are the reference. _span_table converts the spline once to
     its polynomial piece on each nonempty span; each point in the domain
-    then takes one search for its span (the owner rule of _find_spans),
-    one gather of that span's coefficients and Horner's rule in u - c_s.
+    then takes one lookup of its span, one gather of that span's
+    coefficients and Horner's rule in u - c_s.
+
+    The lookup is _grid_owners on a uniform grid over the domain, built
+    once per call by _span_grid: one cell index, one gather and, on the
+    usual knots, one comparison per point. It gives every point the owner
+    that _find_spans' binary search gives, at about a third of the
+    search's cost. The fit keeps the search: there each branch's points
+    are looked up once per sweep, too few to repay the grid's build.
 
     A point outside the domain extends the boundary piece and is read by
     _window_level instead, which rounds as the dense reference does. Far
@@ -758,11 +832,12 @@ def _span_local(basis: SplineBasis, cs: np.ndarray, u, order: int) -> np.ndarray
     if order == 1 and d < 1:
         raise ValueError("derivative needs degree >= 1.")
     starts, mids, table = _span_table(basis, cs, order)
+    grid = _span_grid(starts, t[-1])
     points = u.ravel()
     out = np.empty(points.size)
     for start in range(0, points.size, _BLOCK):
         block = points[start : start + _BLOCK]
-        own = _owners(starts, block)
+        own = _grid_owners(grid, block)
         x = block - np.take(mids, own)
         acc = out[start : start + _BLOCK]
         np.take(table[-1], own, out=acc)

@@ -179,12 +179,9 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     inputs = read_matrix(args.inputs)
     outputs = predict(model, inputs)
+    write_matrix(outputs, args.out or sys.stdout)
     if args.out:
-        write_matrix(outputs, args.out)
         print(f"outputs written to {args.out}")
-    else:
-        for row in outputs:
-            print(",".join(map(repr, row.tolist())))
     return 0
 
 

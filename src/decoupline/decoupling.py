@@ -347,7 +347,11 @@ def predict(model: DecoupledModel, X) -> np.ndarray:
     Each branch is evaluated from its table of per-span polynomial pieces
     (SplineFunction.value), a block of points at a time, so memory per
     branch is O(T), not O(T * df).
-    Columns with a NaN or an infinite entry are rejected.
+    Columns with a NaN or an infinite entry are rejected. So are inputs
+    so far outside a branch's knot domain that its evaluation overflows or
+    its rounding swamps the knot gaps (from about u = 1e16 on a degree-3
+    branch over [0, 1]); that error names the first column whose output is
+    not finite.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -359,9 +363,19 @@ def predict(model: DecoupledModel, X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         col = int(np.flatnonzero(~np.all(np.isfinite(X), axis=0))[0])
         raise ValueError(f"non-finite values encountered in inputs, first in column {col}.")
-    u = model.W0 @ X
-    g = np.stack([branch.value(u[i]) for i, branch in enumerate(model.branches)])
-    return model.W1 @ g
+    # a far input may overflow or cancel to a NaN on the way; the check
+    # below reports it, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        u = model.W0 @ X
+        g = np.stack([branch.value(u[i]) for i, branch in enumerate(model.branches)])
+        out = model.W1 @ g
+    if not np.all(np.isfinite(out)):
+        col = int(np.flatnonzero(~np.all(np.isfinite(out), axis=0))[0])
+        raise ValueError(
+            f"outputs are not finite, first in column {col}: the input lies too far "
+            "outside the fitted domain."
+        )
+    return out
 
 
 def certify_monotone(fn: SplineFunction) -> Certification:

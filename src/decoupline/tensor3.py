@@ -9,6 +9,7 @@ raveling, and every function here sticks to it.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +158,14 @@ def read_tensor(path) -> Tensor3:
     return Tensor3.from_flat((n, m, s), values)
 
 
-def write_matrix(mat: np.ndarray, path) -> None:
-    """Comma-separated rows, round-trip exact through repr."""
+def write_matrix(mat: np.ndarray, dest) -> None:
+    """Comma-separated rows, round-trip exact through repr.
+
+    dest is a path, or an open text stream such as sys.stdout, which is
+    written to and left open.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w") as fh:
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
         for row in mat:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 

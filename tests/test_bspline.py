@@ -14,7 +14,11 @@ from decoupline.bspline import (
     SplineFunction,
     _derivative_map,
     _find_spans,
+    _grid_owners,
     _local_basis,
+    _nonempty_spans,
+    _owners,
+    _span_grid,
     _sorted_knots,
     _window_level,
     _window_gram,
@@ -364,6 +368,82 @@ def test_find_spans_single_search_equals_two_search_rule():
             t, d = basis.knots, basis.degree
             u = np.concatenate([rng.uniform(t[0] - 1, t[-1] + 1, 500), t, [-np.inf, np.inf]])
             assert np.array_equal(_find_spans(t, d, u), old_find_spans(t, d, u))
+
+
+def grid_cases():
+    """(starts, end): the sorted left knots of the nonempty spans and the domain's right end.
+
+    The quantile and crowded bases of every degree, one span, starts
+    clustered tighter than the grid's finest cell (so that one cell holds
+    several), knots at scales 1e-300 and 1e300, a domain too wide for its
+    width to be finite and one a few subnormals wide.
+    """
+    for degree in range(1, 6):
+        for basis in (quantile_basis(seed=degree, df=degree + 8, degree=degree)[0], crowded_basis(degree)):
+            t = basis.knots
+            yield t[_nonempty_spans(t, degree)], t[-1]
+    yield np.array([0.3]), 0.7
+    clustered = np.array([-1.0, -1.0 + 1e-12, -1.0 + 2e-12, 0.25, 0.25 + 3e-9, 0.5])
+    yield clustered, 1.0
+    for scale in (1e-300, 1e300):
+        yield clustered * scale, scale
+        yield np.linspace(-1.0, 0.5, 7) * scale, scale
+    yield np.array([-1e308, 0.0, 1e308]), 1.7e308
+    yield np.array([0.0, 5e-324]), 1e-323
+
+
+def grid_points(starts, end, rng):
+    """Every start and end with their float neighbours, random points in and
+    around the domain, and the extremes."""
+    edges = np.append(starts, end)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = starts[0] + (end - starts[0]) * rng.uniform(-1.0, 2.0, 400)
+    return np.concatenate([
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), spread[np.isfinite(spread)],
+        [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf],
+    ])
+
+
+def test_grid_lookup_equals_the_binary_search():
+    rng = np.random.default_rng(91)
+    windows = []
+    for starts, end in grid_cases():
+        grid = _span_grid(starts, end)
+        windows.append(grid[5])
+        u = grid_points(starts, end, rng)
+        assert np.array_equal(_grid_owners(grid, u), _owners(starts, u))
+    # the clustered starts share a cell; the quantile bases' starts do not
+    assert max(windows) > 1 and min(windows) == 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=20, unique=True),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=50),
+)
+def test_grid_lookup_equals_the_binary_search_on_any_knots(knots, points):
+    knots = np.unique(knots)
+    if knots.size < 2:
+        return
+    starts, end = knots[:-1], knots[-1]
+    u = np.concatenate([np.array(points), knots])
+    assert np.array_equal(_grid_owners(_span_grid(starts, end), u), _owners(starts, u))
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_nan_points_evaluate_to_nan_without_warnings(rep):
+    basis, _ = quantile_basis(seed=51, df=9, degree=3)
+    fn = SplineFunction(basis, np.random.default_rng(51).standard_normal(10), rep)
+    u = np.array([np.nan, 0.3, np.nan, -5.0, 7.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, slope = fn.value(u), fn.derivative(u)
+        rest = np.delete(u, [0, 2])
+        want = fn.value(rest), fn.derivative(rest)
+    assert np.all(np.isnan(value[[0, 2]])) and np.all(np.isnan(slope[[0, 2]]))
+    # and they leave the other points' values alone
+    assert np.array_equal(np.delete(value, [0, 2]), want[0])
+    assert np.array_equal(np.delete(slope, [0, 2]), want[1])
 
 
 def evaluation_points(basis, rng):

@@ -233,6 +233,20 @@ def test_predict_non_finite_inputs_exit_one(fixture_files, capsys):
     assert not out_path.exists()
 
 
+def test_predict_far_inputs_exit_one(fixture_files, capsys):
+    tmp_path, paths = fixture_files
+    model_path = tmp_path / "model.json"
+    assert main(fit_args(paths, model_path)) == 0
+    capsys.readouterr()
+    far = tmp_path / "far_inputs.txt"
+    write_matrix(np.array([[0.1, 1e300, 0.2], [0.2, 1e300, 0.0]]), far)
+    out_path = tmp_path / "pred.txt"
+    code = main(["predict", "--model", str(model_path), "--inputs", str(far), "--out", str(out_path)])
+    assert code == 1
+    assert "error: outputs are not finite, first in column 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_predict_stdout_bytes_match_per_scalar_repr(fixture_files, capsys, monkeypatch):
     tmp_path, paths = fixture_files
     model_path = tmp_path / "model.json"

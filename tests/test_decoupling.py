@@ -1012,6 +1012,22 @@ def test_predict_rejects_non_finite_inputs():
     assert np.all(np.isfinite(predict(model, [[0.1, 0.2, 0.3], [0.2, 0.3, 0.0]])))
 
 
+def test_predict_rejects_inputs_too_far_outside_the_domain():
+    # far out the boundary evaluation cancels to a NaN (or overflows); the
+    # error names the first column whose output is not finite, with no
+    # numpy warning on the way
+    J, F, x = quadratic_fixture(seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, _ = decouple(J, F, x, CmtfConfig(rank=2, degree=2, df=5, seed=0, max_iter=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for far in (1e20, -1e300, 1e308):
+            with pytest.raises(ValueError, match="outputs are not finite, first in column 2"):
+                predict(model, [[0.1, 0.2, far, far], [0.2, 0.3, far, 0.0]])
+        assert np.all(np.isfinite(predict(model, [[0.1, 50.0, -1e3], [0.2, 0.3, 1e3]])))
+
+
 def test_constrained_fit_certifies_every_branch():
     rng = np.random.default_rng(13)
     s = 60

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,17 @@ def test_matrix_file_bytes_match_per_scalar_repr(tmp_path):
     write_matrix(mat, p)
     expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mat)
     assert p.read_bytes() == expect.encode()
+
+
+def test_matrix_written_to_a_stream_matches_the_file(tmp_path):
+    mat = np.array([[0.1, -0.0, 5e-324], [1 / 3, np.inf, -1e-300]])
+    p = tmp_path / "m.txt"
+    write_matrix(mat, p)
+    stream = io.StringIO()
+    write_matrix(mat, stream)
+    # the stream is written to and left open
+    assert not stream.closed
+    assert stream.getvalue() == p.read_text()
 
 
 def test_file_formats_as_documented(tmp_path):
