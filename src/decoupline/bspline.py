@@ -8,16 +8,16 @@ derivatives and running integrals in the same coefficient space, so a single
 coefficient vector can be read at the function level and at the derivative
 level consistently. A derivative has one formula: the degree d-1 basis of
 the same knots times the knot-difference map of _derivative_map.
-SplineFunction evaluates without design matrices. It converts the spline
-once to a table of its polynomial piece on each nonempty span (Taylor
-coefficients about the span midpoint, read from repeated _derivative_map
-levels); a point in the domain then costs one span lookup, one gather of
-a table row and Horner's rule. The lookup reads a uniform grid over the
-domain (_span_grid), whose cells name the few spans that can own a point,
-and gives the owner of _find_spans' binary search. The fit keeps that
-search: it looks each branch's points up once per sweep, too few to repay
-building the grid. A point outside the domain reads the few basis
-functions alive on its boundary span instead.
+SplineFunction evaluates without design matrices. It converts each level
+of the spline once to a table of its polynomial piece on each nonempty span
+(Taylor coefficients about the span midpoint, read from repeated
+_derivative_map levels) and keeps the table; a point then costs one span
+lookup, one gather of a table row and Horner's rule, and a point outside
+the domain reads its boundary span's row, which extends that piece. The
+lookup reads a uniform grid over the domain (_span_grid), whose cells name
+the few spans that can own a point, and gives the owner of _find_spans'
+binary search. The fit keeps that search: it looks each branch's points up
+once per sweep, too few to repay building the grid.
 
 bspline_projection places every branch's knots and builds and solves its
 system: _normal_fit from span windows (function representation), or
@@ -86,7 +86,9 @@ class SplineBasis:
     knots: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.knots, dtype=float)
+        # a read-only copy: the span tables a SplineFunction caches are
+        # built from these knots, so they must not change afterwards
+        t = np.array(self.knots, dtype=float)
         d, df = self.degree, self.df
         if d < 0:
             raise ValueError(f"degree must be >= 0, got {d}.")
@@ -108,6 +110,7 @@ class SplineBasis:
             raise ValueError(
                 f"clamped basis needs boundary knots repeated {d + 1} times."
             )
+        t.flags.writeable = False
         object.__setattr__(self, "knots", t)
 
     @property
@@ -122,6 +125,11 @@ class SplineFunction:
     coeffs has df + 1 entries; coeffs[0] is the free constant, coeffs[1:]
     weight the basis functions. Under FUNCTION the constant shifts g, under
     DERIVATIVE it is the integration constant of g (g' ignores it).
+
+    Each level's span table (_span_table) is built when the level is first
+    read and kept: coeffs is stored as a read-only copy, like the basis's
+    knots, so the table cannot go stale. value and derivative write into
+    out, a float array shaped like u, when it is given, and return it.
     """
 
     basis: SplineBasis
@@ -129,7 +137,7 @@ class SplineFunction:
     representation: Representation
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).ravel()
+        c = np.array(self.coeffs, dtype=float).flatten()
         if c.size != self.basis.df + 1:
             raise ValueError(
                 f"need df + 1 = {self.basis.df + 1} coefficients, got {c.size}."
@@ -138,16 +146,26 @@ class SplineFunction:
             raise ValueError("coefficients must be finite.")
         if not isinstance(self.representation, Representation):
             raise ValueError(f"bad representation {self.representation!r}.")
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    def value(self, u) -> np.ndarray:
-        c0, cs = self.coeffs[0], self.coeffs[1:]
+    @cached_property
+    def _value_table(self) -> tuple:
         order = 0 if self.representation is Representation.FUNCTION else -1
-        return _span_local(self.basis, cs, u, order) + c0
+        return _span_table(self.basis, self.coeffs[1:], order)
 
-    def derivative(self, u) -> np.ndarray:
+    @cached_property
+    def _derivative_table(self) -> tuple:
         order = 1 if self.representation is Representation.FUNCTION else 0
-        return _span_local(self.basis, self.coeffs[1:], u, order)
+        return _span_table(self.basis, self.coeffs[1:], order)
+
+    def value(self, u, out=None) -> np.ndarray:
+        out = _span_local(self._value_table, u, out)
+        out += self.coeffs[0]
+        return out
+
+    def derivative(self, u, out=None) -> np.ndarray:
+        return _span_local(self._derivative_table, u, out)
 
 
 def determine_knots(x, df: int, degree: int) -> SplineBasis:
@@ -689,6 +707,10 @@ _BLOCK = 8192
 def _window_level(t: np.ndarray, degree: int, cs: np.ndarray, spans: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
     """sum_j cs[j] * (B_j, B_j' or int B_j)(u) at points u on the given spans, from one window each.
 
+    _span_table reads it at the span midpoints. Far outside the span the
+    recursion's knot differences cancel, so it is no evaluator for points
+    outside the domain.
+
     order 0 reads the degree-d basis functions, 1 their first derivatives
     and -1 their running integrals from the left end of the domain. Each
     point reads one plain window of basis values, dotted by _window_values
@@ -713,17 +735,22 @@ def _window_level(t: np.ndarray, degree: int, cs: np.ndarray, spans: np.ndarray,
 def _span_table(basis: SplineBasis, cs: np.ndarray, order: int):
     """Per-span polynomial pieces of sum_j cs[j] * (B_j, B_j' or int B_j), for _span_local.
 
-    Returns (starts, mids, table): the left knot and the midpoint c_s of
-    each nonempty span, and table[k, s] = f^(k)(c_s) / k!, the Taylor
-    coefficients of that span's piece f about c_s (de Boor's B-form to
-    pp-form). The m-th derivative of the spline is the degree d-m spline of
-    the same knots whose coefficients are m applications of _derivative_map
-    to cs; _window_level reads each at the midpoints. The integral level's
+    order 0 reads the basis functions, 1 their first derivatives (degree
+    >= 1) and -1 their running integrals from the left end of the domain.
+    Returns (grid, mids, table): the _span_grid index of the nonempty
+    spans' left knots, the midpoint c_s of each nonempty span, and
+    table[k, s] = f^(k)(c_s) / k!, the Taylor coefficients of that span's
+    piece f about c_s (de Boor's B-form to pp-form). The m-th derivative of
+    the spline is the degree d-m spline of the same knots whose
+    coefficients are m applications of _derivative_map to cs;
+    _window_level reads each at the midpoints. The integral level's
     constant term is the running integral at c_s, and its k-th term the
     spline's (k-1)-th derivative there divided by k!: the termwise integral
     of the spline's own pieces.
     """
     t, d = basis.knots, basis.degree
+    if order == 1 and d < 1:
+        raise ValueError("derivative needs degree >= 1.")
     spans = _nonempty_spans(t, d)
     mids = 0.5 * (t[spans] + t[spans + 1])
     levels = []
@@ -735,7 +762,8 @@ def _span_table(basis: SplineBasis, cs: np.ndarray, order: int):
             levels.append(_window_level(t, d - m, coef, spans, mids, 0))
         if m < d:
             coef = _derivative_map(t[None, :], d - m)[0] @ coef
-    return t[spans], mids, np.stack([level / math.factorial(k) for k, level in enumerate(levels)])
+    table = np.stack([level / math.factorial(k) for k, level in enumerate(levels)])
+    return _span_grid(t[spans], t[-1]), mids, table
 
 
 # Most cells of the span grid per span start: the grid is made fine enough
@@ -801,54 +829,48 @@ def _grid_owners(grid, u: np.ndarray) -> np.ndarray:
     return own
 
 
-def _span_local(basis: SplineBasis, cs: np.ndarray, u, order: int) -> np.ndarray:
-    """sum_j cs[j] * (B_j, B_j' or int B_j)(u) without a design matrix.
+def _span_local(table, u, out=None) -> np.ndarray:
+    """A spline level at the points u from its _span_table, without a design matrix.
 
-    order 0 reads the basis functions, 1 their first derivatives and -1
-    their running integrals from the left end of the domain; the dense
+    Each point takes one lookup of its span, one gather of that span's
+    Taylor coefficients and Horner's rule in u - c_s. The dense
     design_matrix, derivative_design_matrix and integral_design_matrix
-    products are the reference. _span_table converts the spline once to
-    its polynomial piece on each nonempty span; each point in the domain
-    then takes one lookup of its span, one gather of that span's
-    coefficients and Horner's rule in u - c_s.
-
-    The lookup is _grid_owners on a uniform grid over the domain, built
-    once per call by _span_grid: one cell index, one gather and, on the
+    products are the reference. The lookup is _grid_owners on the table's
+    uniform grid over the domain: one cell index, one gather and, on the
     usual knots, one comparison per point. It gives every point the owner
     that _find_spans' binary search gives, at about a third of the
     search's cost. The fit keeps the search: there each branch's points
     are looked up once per sweep, too few to repay the grid's build.
 
-    A point outside the domain extends the boundary piece and is read by
-    _window_level instead, which rounds as the dense reference does. Far
-    out, that reference's own error passes 64 eps of the terms it sums
-    (about 69 for a degree-4 integral two units right of a domain of width
-    3.8, where the table is within 0.3 of the exact value), so no other
-    form matches it there to that bound. The points are taken _BLOCK at a
-    time.
+    A point outside the domain is clamped to the boundary span for the
+    lookup only, so Horner's rule extends that span's piece. Unlike the
+    per-point recursion of _window_level, whose knot differences cancel
+    out there, it keeps its digits until a power of u - c_s overflows
+    (within 4.2e-16 relative of the exact value from u = 1e4 to 1e16 on
+    a degree-3 branch over [0, 1]). The points are taken _BLOCK at a
+    time. out, when given, is a float array shaped like u that receives
+    the values; it is returned.
     """
+    grid, mids, coef = table
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    t, d = basis.knots, basis.degree
-    if order == 1 and d < 1:
-        raise ValueError("derivative needs degree >= 1.")
-    starts, mids, table = _span_table(basis, cs, order)
-    grid = _span_grid(starts, t[-1])
-    points = u.ravel()
-    out = np.empty(points.size)
+    if out is None:
+        out = np.empty(u.shape)
+    elif out.shape != u.shape:
+        raise ValueError(f"out must have the shape {u.shape} of the points, got {out.shape}.")
+    points, flat = u.reshape(-1), out.reshape(-1)
     for start in range(0, points.size, _BLOCK):
         block = points[start : start + _BLOCK]
         own = _grid_owners(grid, block)
         x = block - np.take(mids, own)
-        acc = out[start : start + _BLOCK]
-        np.take(table[-1], own, out=acc)
-        for row in table[-2::-1]:
+        acc = flat[start : start + _BLOCK]
+        np.take(coef[-1], own, out=acc)
+        for row in coef[-2::-1]:
             acc *= x
             acc += np.take(row, own)
-    far = np.flatnonzero((points < t[0]) | (points > t[-1]))
-    for start in range(0, far.size, _BLOCK):
-        at = far[start : start + _BLOCK]
-        out[at] = _window_level(t, d, cs, _find_spans(t, d, points[at]), points[at], order)
-    return out.reshape(u.shape)
+    # a non-contiguous out was copied by reshape
+    if not np.may_share_memory(flat, out):
+        out[...] = flat.reshape(out.shape)
+    return out
 
 
 def _points(u) -> np.ndarray:

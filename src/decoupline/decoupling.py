@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .bspline import (
+    _BLOCK,
     Constraint,
     Representation,
     SplineBasis,
@@ -341,17 +342,31 @@ def decouple(J, F, samples, config: CmtfConfig):
     return model, state
 
 
+def _first_nonfinite_column(a: np.ndarray):
+    """Index of the first column of a holding a NaN or an infinity, or None.
+
+    min and max propagate a NaN, so both finite means every entry is; only
+    a matrix that fails that test is masked entry by entry.
+    """
+    if a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max())):
+        return None
+    return int(np.flatnonzero(~np.all(np.isfinite(a), axis=0))[0])
+
+
 def predict(model: DecoupledModel, X) -> np.ndarray:
     """Evaluate the fitted f(x) = W1 g(W0 x) columnwise on an m x T matrix.
 
-    Each branch is evaluated from its table of per-span polynomial pieces
-    (SplineFunction.value), a block of points at a time, so memory per
-    branch is O(T), not O(T * df).
-    Columns with a NaN or an infinite entry are rejected. So are inputs
-    so far outside a branch's knot domain that its evaluation overflows or
-    its rounding swamps the knot gaps (from about u = 1e16 on a degree-3
-    branch over [0, 1]); that error names the first column whose output is
-    not finite.
+    One pass over _BLOCK columns of X at a time: u = W0 x for the block,
+    each branch's values (SplineFunction.value, read from the branch's
+    cached table of per-span polynomial pieces) written into one (r,
+    _BLOCK) buffer, and W1 times that buffer written into the block's
+    columns of the output. The output is the only T-sized array; the rest
+    is one block per branch.
+    Columns with a NaN or an infinite entry are rejected. A branch input
+    outside the knot domain reads the boundary polynomial piece, extended;
+    one so far out that a power of it overflows (from about |u| = 1e102 on
+    a degree-3 branch over [0, 1]) is rejected too, and that error names
+    the first column whose output is not finite.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -360,17 +375,30 @@ def predict(model: DecoupledModel, X) -> np.ndarray:
         raise ValueError(
             f"inputs must have {model.W0.shape[1]} rows, got {X.shape[0]}."
         )
-    if not np.all(np.isfinite(X)):
-        col = int(np.flatnonzero(~np.all(np.isfinite(X), axis=0))[0])
+    col = _first_nonfinite_column(X)
+    if col is not None:
         raise ValueError(f"non-finite values encountered in inputs, first in column {col}.")
-    # a far input may overflow or cancel to a NaN on the way; the check
-    # below reports it, so numpy's warnings would only repeat it
+    T = X.shape[1]
+    out = np.empty((model.W1.shape[0], T))
+    u = np.empty((model.W0.shape[0], min(T, _BLOCK)))
+    g = np.empty((len(model.branches), u.shape[1]))
+    # a far input may overflow on the way; the check below reports it, so
+    # numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
-        u = model.W0 @ X
-        g = np.stack([branch.value(u[i]) for i, branch in enumerate(model.branches)])
-        out = model.W1 @ g
-    if not np.all(np.isfinite(out)):
-        col = int(np.flatnonzero(~np.all(np.isfinite(out), axis=0))[0])
+        for start in range(0, T, _BLOCK):
+            stop = min(start + _BLOCK, T)
+            # numpy takes a one-column product to gemv, which rounds unlike
+            # the gemm of a wider block; a last block of one column is
+            # widened to two, recomputing the column before it
+            if stop - start == 1 and start > 0:
+                start -= 1
+            ub, gb = u[:, : stop - start], g[:, : stop - start]
+            np.matmul(model.W0, X[:, start:stop], out=ub)
+            for i, branch in enumerate(model.branches):
+                branch.value(ub[i], out=gb[i])
+            np.matmul(model.W1, gb, out=out[:, start:stop])
+    col = _first_nonfinite_column(out)
+    if col is not None:
         raise ValueError(
             f"outputs are not finite, first in column {col}: the input lies too far "
             "outside the fitted domain."

@@ -1,7 +1,9 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_spline import exact_value
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
@@ -461,8 +463,24 @@ def dense_level(basis, u, rep, derivative):
     return design_matrix(basis, u) if derivative else integral_design_matrix(basis, u)
 
 
+def assert_exact_outside(fn, u, got, scale, derivative):
+    """Outside the domain, got within 64 eps * scale of exact_value.
+
+    The dense reference and the window evaluator both lose digits out
+    there (up to 69 and 81 eps * scale on test_span_local_evaluation_
+    matches_dense_reference's degree-4 integral), so far points are
+    checked against exact rational arithmetic instead.
+    """
+    lo, hi = fn.basis.domain
+    bound = 64 * np.finfo(float).eps * scale
+    for x, g, b in zip(u, got, bound):
+        if not lo <= x <= hi:
+            assert abs(Fraction(g) - exact_value(fn, x, derivative)) <= Fraction(b)
+
+
 def assert_matches_dense(fn, u, derivative):
-    """fn.value / fn.derivative within 64 eps (|c0| + sum_j |c_j M_j(u)|) of the dense product."""
+    """fn.value / fn.derivative within 64 eps (|c0| + sum_j |c_j M_j(u)|) of
+    the dense product in the domain, and of the exact value outside it."""
     c0, cs = fn.coeffs[0], fn.coeffs[1:]
     m = dense_level(fn.basis, u, fn.representation, derivative)
     if derivative:
@@ -470,7 +488,11 @@ def assert_matches_dense(fn, u, derivative):
     else:
         got, want, scale = fn.value(u), c0 + m @ cs, abs(c0) + np.abs(m * cs).sum(axis=1)
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale)
+    u = np.atleast_1d(u)
+    lo, hi = fn.basis.domain
+    inside = (u >= lo) & (u <= hi)
+    assert np.all((np.abs(got - want) <= 64 * np.finfo(float).eps * scale)[inside])
+    assert_exact_outside(fn, u, got, scale, derivative)
 
 
 @pytest.mark.parametrize("rep", list(Representation))
@@ -520,7 +542,9 @@ def test_function_spline_matches_scipy_bspline(degree):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_span_table_evaluation_matches_the_window_evaluator(rep, degree):
     # in the domain the table and the per-point window agree to 64 eps of
-    # the terms they sum; outside it the window evaluator is what runs
+    # the terms they sum; outside it the table extends the boundary piece,
+    # which the window evaluator reads with lost digits, so there the exact
+    # value is the reference
     rng = np.random.default_rng(600 + degree)
     for basis, u, c in spline_cases(degree, rng):
         fn = SplineFunction(basis, c, rep)
@@ -536,7 +560,7 @@ def test_span_table_evaluation_matches_the_window_evaluator(rep, degree):
                 scale += abs(c[0])
             got = fn.derivative(u) if derivative else fn.value(u)
             assert np.all(np.abs(got - window)[inside] <= 64 * np.finfo(float).eps * scale[inside])
-            assert np.array_equal(got[~inside], window[~inside])
+            assert_exact_outside(fn, u, got, scale, derivative)
 
 
 def test_certified_derivative_branch_is_nondecreasing_on_a_dense_grid():
@@ -599,6 +623,75 @@ def test_span_local_evaluation_collapsed_constant_branch(rep):
     u = np.full(50, x0)
     assert np.array_equal(fn.value(u), np.full(50, -2.5))
     assert np.array_equal(fn.derivative(u), np.zeros(50))
+
+
+def test_far_points_match_the_exact_extension_of_the_boundary_piece():
+    # a degree-3, df-8 branch over [0, 1]: the per-point Cox-de Boor
+    # recursion lost digits out here (relative error 1.3e-11 at 1e4, 0.58
+    # at 1e15, NaN from 1e16), Horner's rule on the boundary span's table
+    # row does not
+    knots = np.concatenate([np.zeros(4), np.arange(1, 5) / 5, np.ones(4)])
+    fn = SplineFunction(SplineBasis(degree=3, df=8, knots=knots),
+                        np.random.default_rng(0).standard_normal(9), Representation.FUNCTION)
+    u = np.array([1e4, 1e8, 1e12, 1e15, 1e16])
+    for x, got in zip(u, fn.value(u)):
+        want = exact_value(fn, x)
+        assert abs(Fraction(got) - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
+def test_exact_oracle_matches_scipy_bspline():
+    # the exact far-point reference above is de Boor's algorithm in
+    # rationals; scipy's BSpline, which extrapolates its boundary pieces
+    # too, checks it at every level, inside the domain and out
+    rng = np.random.default_rng(800)
+    for degree in (1, 2, 3, 4):
+        basis, u, c = next(spline_cases(degree, rng))
+        u = u[::5]
+        spline = BSpline(basis.knots, c[1:], degree, extrapolate=True)
+        cases = [
+            (Representation.FUNCTION, False, c[0] + spline(u)),
+            (Representation.FUNCTION, True, spline(u, nu=1)),
+            (Representation.DERIVATIVE, False, c[0] + spline.antiderivative()(u)),
+            (Representation.DERIVATIVE, True, spline(u)),
+        ]
+        for rep, derivative, want in cases:
+            fn = SplineFunction(basis, c, rep)
+            got = np.array([float(exact_value(fn, x, derivative)) for x in u])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_spline_arrays_are_read_only_copies():
+    # a SplineFunction keeps its span tables, so neither its coefficients
+    # nor its basis's knots may change after it is made
+    basis, _ = quantile_basis(seed=61, df=7, degree=3)
+    knots = basis.knots.copy()
+    c = np.random.default_rng(61).standard_normal(8)
+    fn = SplineFunction(SplineBasis(3, 7, knots), c, Representation.FUNCTION)
+    u = np.linspace(-3.0, 3.0, 101)
+    before = fn.value(u), fn.derivative(u)
+    with pytest.raises(ValueError, match="read-only"):
+        fn.coeffs[1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        fn.basis.knots[4] = 0.0
+    # the arrays passed in were copied: writing to them changes nothing
+    c[1:] = 0.0
+    knots[4] = knots[5]
+    assert np.array_equal(fn.value(u), before[0])
+    assert np.array_equal(fn.derivative(u), before[1])
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_evaluation_writes_into_out(rep):
+    basis, _ = quantile_basis(seed=62, df=7, degree=3)
+    fn = SplineFunction(basis, np.random.default_rng(62).standard_normal(8), rep)
+    u = np.random.default_rng(63).uniform(-3.0, 3.0, (4, 25))
+    for evaluate in (fn.value, fn.derivative):
+        want = evaluate(u)
+        for out in (np.empty((4, 25)), np.empty((25, 4)).T):
+            assert evaluate(u, out=out) is out
+            assert np.array_equal(out, want)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(u, out=np.empty(100))
 
 
 def test_span_local_function_derivative_needs_degree_one():

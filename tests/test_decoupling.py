@@ -1,13 +1,16 @@
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_spline import exact_value
 from hypothesis import given, settings, strategies as st
 
 from decoupline import decoupling
 from decoupline.bspline import (
+    _BLOCK,
     ProjectionResult,
     Representation,
     SplineBasis,
@@ -1012,20 +1015,90 @@ def test_predict_rejects_non_finite_inputs():
     assert np.all(np.isfinite(predict(model, [[0.1, 0.2, 0.3], [0.2, 0.3, 0.0]])))
 
 
+def assert_exact_predict(model, X, got):
+    """got within 64 eps * (|W1| |g|) of W1 g(W0 x), computed column by column in exact rationals."""
+    eps = np.finfo(float).eps
+    for k, x in enumerate(np.asarray(X, dtype=float).T):
+        u = [sum(Fraction(w) * Fraction(v) for w, v in zip(row, x)) for row in model.W0]
+        g = [exact_value(b, ui) for b, ui in zip(model.branches, u)]
+        scale = np.abs(model.W1) @ np.abs([float(v) for v in g])
+        for i, row in enumerate(model.W1):
+            want = sum(Fraction(w) * gi for w, gi in zip(row, g))
+            assert abs(Fraction(got[i, k]) - want) <= Fraction(64 * eps * scale[i])
+
+
 def test_predict_rejects_inputs_too_far_outside_the_domain():
-    # far out the boundary evaluation cancels to a NaN (or overflows); the
-    # error names the first column whose output is not finite, with no
-    # numpy warning on the way
+    # an input far outside the domain extends the boundary piece: at 1e20
+    # that stays finite and matches the exact extension, but at -1e300 and
+    # 1e308 a power of it overflows; the error names the first column whose
+    # output is not finite, with no numpy warning on the way
     J, F, x = quadratic_fixture(seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model, _ = decouple(J, F, x, CmtfConfig(rank=2, degree=2, df=5, seed=0, max_iter=10))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for far in (1e20, -1e300, 1e308):
+        X = [[0.1, 0.2, 1e20, 1e20], [0.2, 0.3, 1e20, 0.0]]
+        assert_exact_predict(model, X, predict(model, X))
+        for far in (-1e300, 1e308):
             with pytest.raises(ValueError, match="outputs are not finite, first in column 2"):
                 predict(model, [[0.1, 0.2, far, far], [0.2, 0.3, far, 0.0]])
         assert np.all(np.isfinite(predict(model, [[0.1, 50.0, -1e3], [0.2, 0.3, 1e3]])))
+
+
+@pytest.fixture(scope="module")
+def block_models():
+    """A FUNCTION and a monotone DERIVATIVE fit of the quadratic fixture."""
+    J, F, x = quadratic_fixture(seed=7)
+    configs = [
+        CmtfConfig(rank=2, degree=3, df=7, seed=0, max_iter=10),
+        CmtfConfig(rank=2, degree=3, df=7, seed=0, max_iter=10, representation=Representation.DERIVATIVE,
+                   constraint=Constraint.MONOTONE_INCREASING),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [decouple(J, F, x, cfg)[0] for cfg in configs]
+
+
+@pytest.mark.parametrize("T", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_predict_equals_the_whole_batch_products_at_block_edges(block_models, T):
+    # predict takes X a block of columns at a time; every column must come
+    # out as the whole-batch products give it, inside the domain and out
+    rng = np.random.default_rng(T)
+    for model in block_models:
+        X = rng.uniform(-3.0, 3.0, (model.W0.shape[1], T))
+        u = model.W0 @ X
+        want = model.W1 @ np.stack([b.value(u_i) for b, u_i in zip(model.branches, u)])
+        got = predict(model, X)
+        assert got.shape == (model.W1.shape[0], T)
+        assert np.array_equal(got, want)
+        domains = np.array([b.basis.domain for b in model.branches])
+        if T > 1:
+            outside = (u < domains[:, :1]) | (u > domains[:, 1:])
+            assert outside.any() and not outside.all()
+
+
+def test_predict_reads_a_one_dimensional_input_as_one_column(block_models):
+    for model in block_models:
+        for x in (np.array([0.3, -0.2]), np.array([2.5, -3.0])):
+            u = model.W0 @ x[:, None]
+            want = model.W1 @ np.stack([b.value(u_i) for b, u_i in zip(model.branches, u)])
+            assert np.array_equal(predict(model, x), want)
+
+
+def test_predict_twice_and_after_a_round_trip_gives_the_same_bits(block_models, tmp_path):
+    # each branch builds its span tables on the first call and keeps them;
+    # a second call, and the same model read back from its file, must give
+    # the first call's outputs bit for bit
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, (2, 1000))
+    for k, model in enumerate(block_models):
+        first = predict(model, X)
+        assert np.array_equal(predict(model, X), first)
+        save_model(model, tmp_path / f"model{k}.json")
+        back = load_model(tmp_path / f"model{k}.json")
+        assert np.array_equal(predict(back, X), first)
+        for b_old, b_new in zip(model.branches, back.branches):
+            assert certify_monotone(b_new) is certify_monotone(b_old)
 
 
 def test_constrained_fit_certifies_every_branch():
