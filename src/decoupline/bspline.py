@@ -8,12 +8,12 @@ derivatives and running integrals in the same coefficient space, so a single
 coefficient vector can be read at the function level and at the derivative
 level consistently. A derivative has one formula: the degree d-1 basis of
 the same knots times the knot-difference map of _derivative_map.
-SplineFunction evaluates without design matrices. It converts each level
-of the spline once to a table of its polynomial piece on each nonempty span
-(Taylor coefficients about the span midpoint, read from repeated
-_derivative_map levels) and keeps the table; a point then costs one span
-lookup, one gather of a table row and Horner's rule, and a point outside
-the domain reads its boundary span's row, which extends that piece. The
+SplineFunction evaluates without design matrices. Once per call it
+converts the spline to a table of its polynomial piece on each nonempty
+span (Taylor coefficients about the span midpoint, read from repeated
+_derivative_map levels); a point then costs one span lookup, one gather
+of a table row and Horner's rule, and a point outside the domain reads
+its boundary span's row, which extends that piece. The
 lookup reads a uniform grid over the domain (_span_grid), whose cells name
 the few spans that can own a point, and gives the owner of _find_spans'
 binary search. The fit keeps that search: it looks each branch's points up
@@ -86,9 +86,7 @@ class SplineBasis:
     knots: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy: the span tables a SplineFunction caches are
-        # built from these knots, so they must not change afterwards
-        t = np.array(self.knots, dtype=float)
+        t = np.asarray(self.knots, dtype=float)
         d, df = self.degree, self.df
         if d < 0:
             raise ValueError(f"degree must be >= 0, got {d}.")
@@ -110,7 +108,6 @@ class SplineBasis:
             raise ValueError(
                 f"clamped basis needs boundary knots repeated {d + 1} times."
             )
-        t.flags.writeable = False
         object.__setattr__(self, "knots", t)
 
     @property
@@ -126,10 +123,10 @@ class SplineFunction:
     weight the basis functions. Under FUNCTION the constant shifts g, under
     DERIVATIVE it is the integration constant of g (g' ignores it).
 
-    Each level's span table (_span_table) is built when the level is first
-    read and kept: coeffs is stored as a read-only copy, like the basis's
-    knots, so the table cannot go stale. value and derivative write into
-    out, a float array shaped like u, when it is given, and return it.
+    value and derivative build the level's span table (_span_table) on
+    each call; value_reader builds it once for a caller that reads many
+    blocks of points. They write into out, a float array shaped like u,
+    when it is given, and return it.
     """
 
     basis: SplineBasis
@@ -137,7 +134,7 @@ class SplineFunction:
     representation: Representation
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float).flatten()
+        c = np.asarray(self.coeffs, dtype=float).ravel()
         if c.size != self.basis.df + 1:
             raise ValueError(
                 f"need df + 1 = {self.basis.df + 1} coefficients, got {c.size}."
@@ -146,26 +143,27 @@ class SplineFunction:
             raise ValueError("coefficients must be finite.")
         if not isinstance(self.representation, Representation):
             raise ValueError(f"bad representation {self.representation!r}.")
-        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    @cached_property
-    def _value_table(self) -> tuple:
+    def value_reader(self):
+        """value as a function of (u, out=None) that reuses one span table."""
         order = 0 if self.representation is Representation.FUNCTION else -1
-        return _span_table(self.basis, self.coeffs[1:], order)
+        table = _span_table(self.basis, self.coeffs[1:], order)
+        c0 = self.coeffs[0]
 
-    @cached_property
-    def _derivative_table(self) -> tuple:
-        order = 1 if self.representation is Representation.FUNCTION else 0
-        return _span_table(self.basis, self.coeffs[1:], order)
+        def read(u, out=None) -> np.ndarray:
+            out = _span_local(table, u, out)
+            out += c0
+            return out
+
+        return read
 
     def value(self, u, out=None) -> np.ndarray:
-        out = _span_local(self._value_table, u, out)
-        out += self.coeffs[0]
-        return out
+        return self.value_reader()(u, out)
 
     def derivative(self, u, out=None) -> np.ndarray:
-        return _span_local(self._derivative_table, u, out)
+        order = 1 if self.representation is Representation.FUNCTION else 0
+        return _span_local(_span_table(self.basis, self.coeffs[1:], order), u, out)
 
 
 def determine_knots(x, df: int, degree: int) -> SplineBasis:

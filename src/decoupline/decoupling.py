@@ -357,11 +357,11 @@ def predict(model: DecoupledModel, X) -> np.ndarray:
     """Evaluate the fitted f(x) = W1 g(W0 x) columnwise on an m x T matrix.
 
     One pass over _BLOCK columns of X at a time: u = W0 x for the block,
-    each branch's values (SplineFunction.value, read from the branch's
-    cached table of per-span polynomial pieces) written into one (r,
-    _BLOCK) buffer, and W1 times that buffer written into the block's
-    columns of the output. The output is the only T-sized array; the rest
-    is one block per branch.
+    each branch's values written into one (r, _BLOCK) buffer, and W1 times
+    that buffer written into the block's columns of the output. Each
+    branch's table of per-span polynomial pieces is built once per call
+    (SplineFunction.value_reader) and read for every block. The output is
+    the only T-sized array; the rest is one block per branch.
     Columns with a NaN or an infinite entry are rejected. A branch input
     outside the knot domain reads the boundary polynomial piece, extended;
     one so far out that a power of it overflows (from about |u| = 1e102 on
@@ -384,18 +384,14 @@ def predict(model: DecoupledModel, X) -> np.ndarray:
     g = np.empty((len(model.branches), u.shape[1]))
     # a far input may overflow on the way; the check below reports it, so
     # numpy's warnings would only repeat it
+    readers = [branch.value_reader() for branch in model.branches]
     with np.errstate(all="ignore"):
         for start in range(0, T, _BLOCK):
             stop = min(start + _BLOCK, T)
-            # numpy takes a one-column product to gemv, which rounds unlike
-            # the gemm of a wider block; a last block of one column is
-            # widened to two, recomputing the column before it
-            if stop - start == 1 and start > 0:
-                start -= 1
             ub, gb = u[:, : stop - start], g[:, : stop - start]
             np.matmul(model.W0, X[:, start:stop], out=ub)
-            for i, branch in enumerate(model.branches):
-                branch.value(ub[i], out=gb[i])
+            for i, read in enumerate(readers):
+                read(ub[i], out=gb[i])
             np.matmul(model.W1, gb, out=out[:, start:stop])
     col = _first_nonfinite_column(out)
     if col is not None:
