@@ -10,14 +10,17 @@ level consistently. A derivative has one formula: the degree d-1 basis of
 the same knots times the knot-difference map of _derivative_map.
 SplineFunction evaluates without design matrices. Once per call it
 converts the spline to a table of its polynomial piece on each nonempty
-span (Taylor coefficients about the span midpoint, read from repeated
-_derivative_map levels); a point then costs one span lookup, one gather
-of a table row and Horner's rule, and a point outside the domain reads
-its boundary span's row, which extends that piece. The
-lookup reads a uniform grid over the domain (_span_grid), whose cells name
-the few spans that can own a point, and gives the owner of _find_spans'
-binary search. The fit keeps that search: it looks each branch's points up
-once per sweep, too few to repay building the grid.
+span (Taylor coefficients about the span midpoint: each level of
+_local_basis at the midpoints, dotted with repeated _derivative_map
+levels of the coefficients); a point then costs one span lookup, one
+gather of a table row and Horner's rule, and a point outside the domain
+reads its boundary span's row, which extends that piece. The lookup reads
+a uniform grid over the domain (_span_grid), whose cells name the few
+spans that can own a point, and gives the owner of _find_spans' binary
+search. The fit keeps that search: it looks each branch's points up once
+per sweep, too few to repay building the grid. Evaluation takes the
+points it is given in one pass; decoupling.predict is the one caller that
+splits its points into blocks.
 
 bspline_projection places every branch's knots and builds and solves its
 system: _normal_fit from span windows (function representation), or
@@ -124,9 +127,9 @@ class SplineFunction:
     DERIVATIVE it is the integration constant of g (g' ignores it).
 
     value and derivative build the level's span table (_span_table) on
-    each call; value_reader builds it once for a caller that reads many
-    blocks of points. They write into out, a float array shaped like u,
-    when it is given, and return it.
+    each call and return an array shaped like u; value_reader builds it
+    once for a caller that reads many blocks of points into its own
+    buffers.
     """
 
     basis: SplineBasis
@@ -146,24 +149,26 @@ class SplineFunction:
         object.__setattr__(self, "coeffs", c)
 
     def value_reader(self):
-        """value as a function of (u, out=None) that reuses one span table."""
+        """value as a function read(u, out) that writes into out, shaped like u, and reuses one span table."""
         order = 0 if self.representation is Representation.FUNCTION else -1
         table = _span_table(self.basis, self.coeffs[1:], order)
         c0 = self.coeffs[0]
 
-        def read(u, out=None) -> np.ndarray:
-            out = _span_local(table, u, out)
+        def read(u, out) -> np.ndarray:
+            _span_local(table, u, out)
             out += c0
             return out
 
         return read
 
-    def value(self, u, out=None) -> np.ndarray:
-        return self.value_reader()(u, out)
+    def value(self, u) -> np.ndarray:
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return self.value_reader()(u, np.empty(u.shape))
 
-    def derivative(self, u, out=None) -> np.ndarray:
+    def derivative(self, u) -> np.ndarray:
         order = 1 if self.representation is Representation.FUNCTION else 0
-        return _span_local(_span_table(self.basis, self.coeffs[1:], order), u, out)
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return _span_local(_span_table(self.basis, self.coeffs[1:], order), u, np.empty(u.shape))
 
 
 def determine_knots(x, df: int, degree: int) -> SplineBasis:
@@ -251,16 +256,16 @@ def _find_spans(t: np.ndarray, degree: int, u: np.ndarray) -> np.ndarray:
     return nonempty[_owners(t[nonempty], u)]
 
 
-def _local_basis(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray, below: bool = False):
+def _local_basis(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray):
     """Values of the degree+1 basis functions alive on each point's span.
 
     Returns (lower, vals), level-major: vals[r] holds B_{span - degree + r,
     degree}(u), shaped like u, so each basis function of the window is one
-    contiguous block. With below=True, lower holds the degree-1 level of the
-    same recursion (the functions alive on the same span one degree down),
-    else None. Standard knot-difference recursion, row i of u on knot
-    vector t[i]; denominators are knot spans around a nonempty interval and
-    cannot vanish. Each level runs one sum, one division and two products
+    contiguous block. lower holds the degree-1 level of the same recursion
+    (the functions alive on the same span one degree down), None at degree
+    0. Standard knot-difference recursion, row i of u on knot vector t[i];
+    denominators are knot spans around a nonempty interval and cannot
+    vanish. Each level runs one sum, one division and two products
     over the stacked (j, rows, S) window; one gather reads every knot the
     levels use.
     """
@@ -280,7 +285,7 @@ def _local_basis(t: np.ndarray, degree: int, spans: np.ndarray, u: np.ndarray, b
     down = np.empty((degree,) + u.shape)
     lower = None
     for j in range(1, degree + 1):
-        if below and j == degree:
+        if j == degree:
             lower = vals[:degree].copy()
         # vals[r] becomes right[r] temp[r] + left[j - r] temp[r - 1]: its
         # own share plus what its left neighbour hands on
@@ -412,7 +417,7 @@ def _dense_pair(t: np.ndarray, degree: int, u: np.ndarray):
     b_mat = np.zeros((rows, u.shape[1], df + 1))
     btil = np.zeros_like(b_mat)
     btil[..., 0] = 1.0
-    vals, higher = _local_basis(t, degree + 1, spans, u, below=True)
+    vals, higher = _local_basis(t, degree + 1, spans, u)
     _scatter(b_mat[..., 1:], vals, spans, degree)
     _integral_into(btil[..., 1:], higher, spans, t, degree)
     return b_mat, btil
@@ -447,7 +452,7 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     """
     rows, df = t.shape[0], t.shape[1] - degree - 1
     spans = _row_spans(t, degree, u)
-    lower, vals = _local_basis(t, degree, spans, u, below=True)
+    lower, vals = _local_basis(t, degree, spans, u)
     first = spans - degree
     # the degree d-1 window of the same span starts one basis function later
     first_lower = first + 1
@@ -696,40 +701,6 @@ def _assemble_branches(proj: ProjectionResult, x, lam, representation: Represent
     return tuple(branches), G, R
 
 
-# Points per block of span-local evaluation: each of a block's work arrays
-# is then 64 KiB, so the evaluation runs in cache and reuses heap memory
-# instead of mapping and page-faulting fresh T-sized arrays on every call.
-_BLOCK = 8192
-
-
-def _window_level(t: np.ndarray, degree: int, cs: np.ndarray, spans: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """sum_j cs[j] * (B_j, B_j' or int B_j)(u) at points u on the given spans, from one window each.
-
-    _span_table reads it at the span midpoints. Far outside the span the
-    recursion's knot differences cancel, so it is no evaluator for points
-    outside the domain.
-
-    order 0 reads the degree-d basis functions, 1 their first derivatives
-    and -1 their running integrals from the left end of the domain. Each
-    point reads one plain window of basis values, dotted by _window_values
-    with weights mapped from cs: degree+1 values weighted by cs itself; for
-    the derivative, the degree values of the degree d-1 level, weighted by
-    _derivative_map times cs; for the integral, the degree+2 values of the
-    degree d+1 level, weighted by the prefix sums of cs[j] * (t_{j+d+1} -
-    t_j)/(d+1) (the integral of B_j is that step times the sum of the
-    higher-level functions past j).
-    """
-    weights = cs
-    if order == 1:
-        weights = _derivative_map(t[None, :], degree)[0] @ cs
-    elif order == -1:
-        weights = np.concatenate([[0.0], np.cumsum(cs * _integral_steps(t, degree, cs.size))])
-    # a derivative reads the level one degree down, an integral one up; the
-    # degree d-1 window of a span starts one basis function later
-    _, window = _local_basis(t[None, :], degree - order, spans[None, :], u[None, :])
-    return _window_values(window, spans[None, :] - (degree - max(order, 0)), weights[None, :])[0]
-
-
 def _span_table(basis: SplineBasis, cs: np.ndarray, order: int):
     """Per-span polynomial pieces of sum_j cs[j] * (B_j, B_j' or int B_j), for _span_local.
 
@@ -740,24 +711,34 @@ def _span_table(basis: SplineBasis, cs: np.ndarray, order: int):
     table[k, s] = f^(k)(c_s) / k!, the Taylor coefficients of that span's
     piece f about c_s (de Boor's B-form to pp-form). The m-th derivative of
     the spline is the degree d-m spline of the same knots whose
-    coefficients are m applications of _derivative_map to cs;
-    _window_level reads each at the midpoints. The integral level's
-    constant term is the running integral at c_s, and its k-th term the
-    spline's (k-1)-th derivative there divided by k!: the termwise integral
-    of the spline's own pieces.
+    coefficients are m applications of _derivative_map to cs; its value at
+    c_s is the degree d-m level of _local_basis there, dotted by
+    _window_values with those coefficients. The integral level's constant
+    term is the running integral at c_s: the degree d+1 level, weighted by
+    the prefix sums of cs[j] * (t_{j+d+1} - t_j)/(d+1) (the integral of B_j
+    is that step times the sum of the higher-level functions past j). Its
+    k-th term is the spline's (k-1)-th derivative there divided by k!: the
+    termwise integral of the spline's own pieces.
     """
     t, d = basis.knots, basis.degree
     if order == 1 and d < 1:
         raise ValueError("derivative needs degree >= 1.")
     spans = _nonempty_spans(t, d)
     mids = 0.5 * (t[spans] + t[spans + 1])
+
+    def at_mids(degree, first, weights):
+        # weights[first[s] + a] weighs the a-th function alive on span s
+        _, window = _local_basis(t[None, :], degree, spans[None, :], mids[None, :])
+        return _window_values(window, first[None, :], weights[None, :])[0]
+
     levels = []
     if order == -1:
-        levels.append(_window_level(t, d, cs, spans, mids, -1))
+        steps = _integral_steps(t, d, cs.size)
+        levels.append(at_mids(d + 1, spans - d, np.concatenate([[0.0], np.cumsum(cs * steps)])))
     coef = cs
     for m in range(d + 1):
         if m >= order:
-            levels.append(_window_level(t, d - m, coef, spans, mids, 0))
+            levels.append(at_mids(d - m, spans - (d - m), coef))
         if m < d:
             coef = _derivative_map(t[None, :], d - m)[0] @ coef
     table = np.stack([level / math.factorial(k) for k, level in enumerate(levels)])
@@ -827,8 +808,8 @@ def _grid_owners(grid, u: np.ndarray) -> np.ndarray:
     return own
 
 
-def _span_local(table, u, out=None) -> np.ndarray:
-    """A spline level at the points u from its _span_table, without a design matrix.
+def _span_local(table, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A spline level at the points u from its _span_table, written into out (shaped like u) and returned.
 
     Each point takes one lookup of its span, one gather of that span's
     Taylor coefficients and Horner's rule in u - c_s. The dense
@@ -841,33 +822,21 @@ def _span_local(table, u, out=None) -> np.ndarray:
     are looked up once per sweep, too few to repay the grid's build.
 
     A point outside the domain is clamped to the boundary span for the
-    lookup only, so Horner's rule extends that span's piece. Unlike the
-    per-point recursion of _window_level, whose knot differences cancel
-    out there, it keeps its digits until a power of u - c_s overflows
-    (within 4.2e-16 relative of the exact value from u = 1e4 to 1e16 on
-    a degree-3 branch over [0, 1]). The points are taken _BLOCK at a
-    time. out, when given, is a float array shaped like u that receives
-    the values; it is returned.
+    lookup only, so Horner's rule extends that span's piece. Unlike a
+    per-point Cox-de Boor recursion, whose knot differences cancel out
+    there, it keeps its digits until a power of u - c_s overflows (within
+    4.2e-16 relative of the exact value from u = 1e4 to 1e16 on a degree-3
+    branch over [0, 1]). The points are read in one pass, so every work
+    array is the size of u; decoupling.predict hands over one block at a
+    time.
     """
     grid, mids, coef = table
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if out is None:
-        out = np.empty(u.shape)
-    elif out.shape != u.shape:
-        raise ValueError(f"out must have the shape {u.shape} of the points, got {out.shape}.")
-    points, flat = u.reshape(-1), out.reshape(-1)
-    for start in range(0, points.size, _BLOCK):
-        block = points[start : start + _BLOCK]
-        own = _grid_owners(grid, block)
-        x = block - np.take(mids, own)
-        acc = flat[start : start + _BLOCK]
-        np.take(coef[-1], own, out=acc)
-        for row in coef[-2::-1]:
-            acc *= x
-            acc += np.take(row, own)
-    # a non-contiguous out was copied by reshape
-    if not np.may_share_memory(flat, out):
-        out[...] = flat.reshape(out.shape)
+    own = _grid_owners(grid, u)
+    x = u - np.take(mids, own)
+    np.take(coef[-1], own, out=out)
+    for row in coef[-2::-1]:
+        out *= x
+        out += np.take(row, own)
     return out
 
 

@@ -116,10 +116,9 @@ def _cmd_decouple(args) -> int:
     save_model(model, args.out)
     if args.diagnostics:
         write_diagnostics(state, args.diagnostics)
-    obj = state.history[-1][0] if state.history else float("nan")
     print(
         f"fit finished after {state.iterations} iterations ({state.stop_reason}), "
-        f"objective {obj:.6e}, model written to {args.out}"
+        f"objective {state.history[-1][0]:.6e}, model written to {args.out}"
     )
     return 0
 

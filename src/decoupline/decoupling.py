@@ -25,7 +25,6 @@ from enum import Enum
 import numpy as np
 
 from .bspline import (
-    _BLOCK,
     Constraint,
     Representation,
     SplineBasis,
@@ -353,15 +352,23 @@ def _first_nonfinite_column(a: np.ndarray):
     return int(np.flatnonzero(~np.all(np.isfinite(a), axis=0))[0])
 
 
+# Columns per block of predict: each of a block's per-branch work arrays
+# is then 64 KiB, so the evaluation runs in cache and reuses heap memory
+# instead of mapping and page-faulting fresh T-sized arrays on every call.
+_BLOCK = 8192
+
+
 def predict(model: DecoupledModel, X) -> np.ndarray:
     """Evaluate the fitted f(x) = W1 g(W0 x) columnwise on an m x T matrix.
 
-    One pass over _BLOCK columns of X at a time: u = W0 x for the block,
-    each branch's values written into one (r, _BLOCK) buffer, and W1 times
-    that buffer written into the block's columns of the output. Each
-    branch's table of per-span polynomial pieces is built once per call
-    (SplineFunction.value_reader) and read for every block. The output is
-    the only T-sized array; the rest is one block per branch.
+    One pass over _BLOCK columns of X at a time, the only block loop of
+    the evaluation: u = W0 x for the block, each branch's values written
+    into one (r, _BLOCK) buffer, and W1 times that buffer written into the
+    block's columns of the output. Each branch's table of per-span
+    polynomial pieces (read off _local_basis at the span midpoints) is
+    built once per call (SplineFunction.value_reader) and read for every
+    block. The output is the only T-sized array; the rest is one block per
+    branch.
     Columns with a NaN or an infinite entry are rejected. A branch input
     outside the knot domain reads the boundary polynomial piece, extended;
     one so far out that a power of it overflows (from about |u| = 1e102 on

@@ -171,8 +171,12 @@ def output_error(true_outputs, model_outputs) -> np.ndarray:
     return out
 
 
-def poly_refit(u, values, degree: int = 10):
-    """Least-squares polynomial refit of sampled branch values.
+# Degree of the polynomial refit that scores each branch (e_poly).
+_POLY_DEGREE = 10
+
+
+def poly_refit(u, values):
+    """Least-squares polynomial refit of degree _POLY_DEGREE to sampled branch values.
 
     Fits in a variable scaled to [-1, 1] for conditioning; the returned
     numpy Polynomial evaluates in the original variable and exposes the
@@ -180,17 +184,17 @@ def poly_refit(u, values, degree: int = 10):
     """
     u = np.asarray(u, dtype=float).ravel()
     values = np.asarray(values, dtype=float).ravel()
-    if np.unique(u).size < degree + 1:
+    if np.unique(u).size < _POLY_DEGREE + 1:
         raise ValueError(
-            f"need at least {degree + 1} distinct points for degree {degree}."
+            f"need at least {_POLY_DEGREE + 1} distinct points for degree {_POLY_DEGREE}."
         )
-    return np.polynomial.Polynomial.fit(u, values, degree)
+    return np.polynomial.Polynomial.fit(u, values, _POLY_DEGREE)
 
 
 def _refit_row(u_row, vals) -> np.ndarray:
-    # a collapsed branch input row (dead component) cannot support a
-    # degree-10 refit; its values are constant and are their own refit
-    if np.unique(u_row).size < 11:
+    # a collapsed branch input row (dead component) cannot support the
+    # refit; its values are constant and are their own refit
+    if np.unique(u_row).size < _POLY_DEGREE + 1:
         return np.asarray(vals, dtype=float).copy()
     return poly_refit(u_row, vals)(u_row)
 

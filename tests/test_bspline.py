@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from decoupline import bspline
 from decoupline.bspline import (
     Constraint,
     Representation,
@@ -17,12 +16,12 @@ from decoupline.bspline import (
     _derivative_map,
     _find_spans,
     _grid_owners,
+    _integral_steps,
     _local_basis,
     _nonempty_spans,
     _owners,
     _span_grid,
     _sorted_knots,
-    _window_level,
     _window_gram,
     _window_rhs,
     _window_values,
@@ -496,7 +495,7 @@ def assert_matches_dense(fn, u, derivative):
 
 
 @pytest.mark.parametrize("rep", list(Representation))
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_span_local_evaluation_matches_dense_reference(rep, degree):
     rng = np.random.default_rng(100 + degree)
     for basis in (quantile_basis(seed=degree, df=degree + 8, degree=degree)[0], crowded_basis(degree)):
@@ -538,6 +537,25 @@ def test_function_spline_matches_scipy_bspline(degree):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def window_level(t, degree, cs, spans, u, order):
+    """sum_j cs[j] * (B_j, B_j' or int B_j)(u), order 0, 1 or -1, from one window of basis values per point.
+
+    The reference for the span table, a per-point evaluation: each point
+    reads its own window of _local_basis, one level down for the
+    derivative (weights _derivative_map times cs) and one up for the
+    running integral (weights the prefix sums of cs[j] * (t_{j+d+1} -
+    t_j)/(d+1)). Its knot differences cancel far outside the domain.
+    """
+    weights = cs
+    if order == 1:
+        weights = _derivative_map(t[None, :], degree)[0] @ cs
+    elif order == -1:
+        weights = np.concatenate([[0.0], np.cumsum(cs * _integral_steps(t, degree, cs.size))])
+    # the degree d-1 window of a span starts one basis function later
+    _, window = _local_basis(t[None, :], degree - order, spans[None, :], u[None, :])
+    return _window_values(window, spans[None, :] - (degree - max(order, 0)), weights[None, :])[0]
+
+
 @pytest.mark.parametrize("rep", list(Representation))
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_span_table_evaluation_matches_the_window_evaluator(rep, degree):
@@ -553,7 +571,7 @@ def test_span_table_evaluation_matches_the_window_evaluator(rep, degree):
         spans = _find_spans(basis.knots, degree, u)
         for derivative in (False, True):
             order = (1 if derivative else 0) - (rep is Representation.DERIVATIVE)
-            window = _window_level(basis.knots, degree, c[1:], spans, u, order)
+            window = window_level(basis.knots, degree, c[1:], spans, u, order)
             scale = np.abs(dense_level(basis, u, rep, derivative) * c[1:]).sum(axis=1)
             if not derivative:
                 window += c[0]
@@ -598,15 +616,19 @@ def test_span_local_evaluation_single_point_and_empty(rep):
 
 
 @pytest.mark.parametrize("rep", list(Representation))
-def test_span_local_evaluation_is_the_same_in_blocks(rep, monkeypatch):
+def test_span_local_evaluation_is_the_same_in_blocks(rep):
+    # decoupling.predict reads a block of points at a time into slices of
+    # one buffer; each point's value must not depend on its block
     basis, _ = quantile_basis(seed=41, df=9, degree=3)
     rng = np.random.default_rng(41)
     fn = SplineFunction(basis, rng.standard_normal(10), rep)
     u = rng.uniform(-3.0, 3.0, 1000)
-    whole = fn.value(u), fn.derivative(u)
-    monkeypatch.setattr(bspline, "_BLOCK", 7)
-    assert np.array_equal(fn.value(u), whole[0])
-    assert np.array_equal(fn.derivative(u), whole[1])
+    read, value = fn.value_reader(), np.empty(u.size)
+    for start in range(0, u.size, 7):
+        read(u[start : start + 7], value[start : start + 7])
+    assert np.array_equal(value, fn.value(u))
+    slope = np.concatenate([fn.derivative(u[start : start + 7]) for start in range(0, u.size, 7)])
+    assert np.array_equal(slope, fn.derivative(u))
     assert_matches_dense(fn, u, derivative=False)
     assert_matches_dense(fn, u, derivative=True)
 
@@ -662,16 +684,23 @@ def test_exact_oracle_matches_scipy_bspline():
 
 @pytest.mark.parametrize("rep", list(Representation))
 def test_evaluation_writes_into_out(rep):
+    # value_reader's reader writes 1-D points into the caller's buffer;
+    # value and derivative return an array shaped like the points, n-d
+    # and transposed ones included, with the flat evaluation's bits
     basis, _ = quantile_basis(seed=62, df=7, degree=3)
     fn = SplineFunction(basis, np.random.default_rng(62).standard_normal(8), rep)
     u = np.random.default_rng(63).uniform(-3.0, 3.0, (4, 25))
+    read = fn.value_reader()
+    for out in (np.empty(100), np.empty(200)[::2]):
+        assert read(u.ravel(), out) is out
+        assert np.array_equal(out, fn.value(u.ravel()))
+    with pytest.raises(ValueError):
+        read(u.ravel(), np.empty(99))
     for evaluate in (fn.value, fn.derivative):
-        want = evaluate(u)
-        for out in (np.empty((4, 25)), np.empty((25, 4)).T):
-            assert evaluate(u, out=out) is out
-            assert np.array_equal(out, want)
-        with pytest.raises(ValueError, match="shape"):
-            evaluate(u, out=np.empty(100))
+        for points in (u, np.ascontiguousarray(u.T).T):
+            got = evaluate(points)
+            assert got.shape == (4, 25)
+            assert np.array_equal(got.ravel(), evaluate(points.ravel()))
 
 
 def test_span_local_function_derivative_needs_degree_one():
@@ -684,7 +713,7 @@ def test_span_local_function_derivative_needs_degree_one():
     )
 
 
-def loop_local_basis(t, degree, spans, u, below=False):
+def loop_local_basis(t, degree, spans, u):
     """_local_basis as the plain inner loop over the window, one function at a time."""
     rows = np.arange(t.shape[0])[:, None] * t.shape[1]
     vals = np.zeros((degree + 1,) + u.shape)
@@ -693,7 +722,7 @@ def loop_local_basis(t, degree, spans, u, below=False):
     right = np.empty((degree,) + u.shape)
     lower = None
     for j in range(1, degree + 1):
-        if below and j == degree:
+        if j == degree:
             lower = vals[:degree].copy()
         left[j - 1] = u - np.take(t, spans + (rows - j + 1))
         right[j - 1] = np.take(t, spans + (rows + j)) - u
@@ -721,15 +750,13 @@ def test_local_basis_equals_the_loop_recursion():
         ]) * 4.0 - 2.0
         u = rng.uniform(-3.0, 3.0, (rows, 50))
         spans = np.stack([_find_spans(k, degree, p) for k, p in zip(t, u)])
-        below = bool(rng.integers(2))
+        # an unused draw, kept so that the cases drawn after it stay the same
+        rng.integers(2)
         (lower, vals), (want_lower, want_vals) = (
-            f(t, degree, spans, u, below) for f in (_local_basis, loop_local_basis)
+            f(t, degree, spans, u) for f in (_local_basis, loop_local_basis)
         )
         assert np.array_equal(vals, want_vals)
-        if below:
-            assert np.array_equal(lower, want_lower)
-        else:
-            assert lower is None
+        assert np.array_equal(lower, want_lower)
 
 
 def _window_case(bases, rng):
@@ -738,7 +765,7 @@ def _window_case(bases, rng):
     t = np.stack([b.knots for b in bases])
     u = np.stack([evaluation_points(b, rng)[:240] for b in bases])
     spans = np.stack([_find_spans(k, degree, p) for k, p in zip(t, u)])
-    lower, vals = _local_basis(t, degree, spans, u, below=True)
+    lower, vals = _local_basis(t, degree, spans, u)
     return t, u, spans, lower, vals
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from decoupline import decoupling
 from decoupline.bspline import (
-    _BLOCK,
     ProjectionResult,
     Representation,
     SplineBasis,
@@ -23,6 +22,7 @@ from decoupline.bspline import (
     leaky_relu_fallback,
 )
 from decoupline.decoupling import (
+    _BLOCK,
     STALL_SWEEPS,
     Certification,
     CmtfConfig,
