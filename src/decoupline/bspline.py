@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .solvers import RANK_RCOND, nnls
+from .solvers import NORMAL_KAPPA_MAX, RANK_RCOND, nnls
 
 __all__ = [
     "Representation",
@@ -423,13 +423,6 @@ def _dense_pair(t: np.ndarray, degree: int, u: np.ndarray):
     return b_mat, btil
 
 
-# Largest kappa(A) a FUNCTION branch may have and still be solved from its
-# normal equations: those square kappa, so at this bound they keep about
-# eight of the sixteen digits. A branch above it (coincident knots leaving a
-# basis function with no samples, say) is solved by lstsq instead.
-_NORMAL_KAPPA_MAX = 1e4
-
-
 def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
     """FUNCTION-representation fit of rows of (g, r) with c0 = 0.
 
@@ -441,8 +434,8 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     matrix and M the map of _derivative_map, so B^T B = M^T (D^T D) M.
 
     A row is solved from its normal equations when their eigenvalues put
-    kappa(A) at or below _NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
-    _NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test); one
+    kappa(A) at or below NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
+    NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test); one
     batched Cholesky factors those rows, and neither B nor Btil is formed.
     Each other row scatters its windows into B and Btil and takes the
     min-norm lstsq solution of _dense_solve.
@@ -470,7 +463,7 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     # the gate
     finite = np.isfinite(normal).all(axis=(1, 2))
     eig = np.linalg.eigvalsh(np.where(finite[:, None, None], normal, 0.0))
-    solved = eig[:, 0] > eig[:, -1] / _NORMAL_KAPPA_MAX**2
+    solved = eig[:, 0] > eig[:, -1] / NORMAL_KAPPA_MAX**2
     c = np.zeros((rows, df, 1))
     if solved.any():
         lo = np.linalg.cholesky(normal[solved])
@@ -609,7 +602,7 @@ def bspline_projection(
       constant dropped (c0 = 0; the basis sums to one, so that column only
       repeated the spline block's constant): from its banded normal
       equations, or by _dense_solve's lstsq when its kappa(A) is above
-      _NORMAL_KAPPA_MAX;
+      NORMAL_KAPPA_MAX;
     * under DERIVATIVE, every branch is written into the stacked system
       [B; sqrt(lam) Btil] of _dense_pair, with the constant column (g's
       integration constant), and solved alone by _dense_solve: by lstsq

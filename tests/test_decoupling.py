@@ -38,7 +38,7 @@ from decoupline.decoupling import (
     save_model,
     write_diagnostics,
 )
-from decoupline.solvers import lstsq, nnls, stacked_lstsq
+from decoupline.solvers import RANK_RCOND, lstsq, nnls, stacked_lstsq
 from decoupline.sysgen import (
     builtin_mono,
     builtin_trig,
@@ -341,13 +341,13 @@ def reference_projection(G, R, df, degree, x_samples, lam, representation, const
         else:
             b_mat = augment(design_matrix(basis, u), "zeros")
             btil = augment(integral_design_matrix(basis, u), "ones")
+        root = np.sqrt(lam)
+        a = np.vstack([b_mat, root * btil])
+        y = np.concatenate([G[:, j], root * R[:, j]])
         if constraint is Constraint.NONE:
-            c = stacked_lstsq(b_mat, G[:, [j]], btil, R[:, [j]], lam).solution.ravel()
+            c = np.linalg.lstsq(a, y, rcond=RANK_RCOND)[0]
         else:
-            root = np.sqrt(lam)
-            c = _nonneg_stacked(np.vstack([b_mat, root * btil]),
-                                np.concatenate([G[:, j], root * R[:, j]]),
-                                None if warm is None else warm[j])
+            c = _nonneg_stacked(a, y, None if warm is None else warm[j])
             if np.all(c[1:] == 0):
                 G[:, j], R[:, j] = leaky_relu_fallback(u)
                 coeffs.append(None)

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from decoupline.solvers import KKT_RTOL, lstsq, nnls, stacked_lstsq
+from decoupline import solvers
+from decoupline.decoupling import CmtfConfig, decouple
+from decoupline.solvers import KKT_RTOL, NORMAL_KAPPA_MAX, RANK_RCOND, lstsq, nnls, stacked_lstsq
+from decoupline.sysgen import builtin_trig, jacobian_tensor, sample_for_system, zeroth_matrix
 
 
 def test_lstsq_overdetermined_matches_normal_equations():
@@ -81,6 +86,144 @@ def test_stacked_lstsq_negative_lam():
 def test_stacked_lstsq_column_mismatch():
     with pytest.raises(ValueError, match="column mismatch"):
         stacked_lstsq(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 4)), np.zeros(3), 1.0)
+
+
+# systems past the Gram route's size bound (1024 rows or right-hand sides),
+# each as (lhs1, rhs1) or (lhs1, rhs1, lhs2, rhs2) for stacked_lstsq
+def _large_systems():
+    rng = np.random.default_rng(11)
+    return {
+        "tall": (rng.standard_normal((4000, 3)), rng.standard_normal((4000, 2))),
+        "many_rhs": (rng.standard_normal((4, 3)), rng.standard_normal((4, 2000))),
+        "wide": (rng.standard_normal((2, 3)), rng.standard_normal((2, 2000))),
+        "stacked": (rng.standard_normal((4000, 3)), rng.standard_normal((4000, 2)),
+                    rng.standard_normal((2000, 3)), rng.standard_normal((2000, 2))),
+        "vector_rhs": (rng.standard_normal((4000, 3)), rng.standard_normal(4000)),
+    }
+
+
+_LAM = 0.37
+
+
+def _solve(system):
+    return stacked_lstsq(*system, _LAM) if len(system) == 4 else lstsq(*system)
+
+
+def _svd_reference(system):
+    """np.linalg.lstsq on the explicit row stack: (solution, rank, rank_deficient)."""
+    if len(system) == 4:
+        a1, b1, a2, b2 = system
+        root = np.sqrt(_LAM)
+        system = np.vstack([a1, root * a2]), np.vstack([b1, root * b2])
+    x, _, rank, _ = np.linalg.lstsq(*system, rcond=RANK_RCOND)
+    return x, int(rank), int(rank) < system[0].shape[1]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the calls to np.linalg.lstsq from here on."""
+    calls = []
+    dense = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_large_systems()))
+def test_gram_route_matches_the_svd_solve(name, svd_calls):
+    system = _large_systems()[name]
+    out = _solve(system)
+    assert len(svd_calls) == 0
+    x, rank, deficient = _svd_reference(system)
+    assert out.solution.shape == x.shape
+    assert np.abs(out.solution - x).max() <= 1e-10 * np.abs(x).max()
+    assert (out.rank, out.rank_deficient) == (rank, deficient)
+    if name == "wide":
+        # the min-norm solution lies in the row space of lhs
+        null = np.linalg.svd(system[0])[2][2:]
+        assert np.abs(null @ out.solution).max() <= 1e-10 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("system", [
+    (np.random.default_rng(12).standard_normal((1000, 3)), np.ones((1000, 2))),
+    (np.random.default_rng(13).standard_normal((4, 3)), np.ones((4, 1000))),
+    (np.random.default_rng(14).standard_normal((2, 3)), np.ones((2, 1000))),
+    (np.random.default_rng(15).standard_normal((600, 3)), np.ones((600, 2)),
+     np.random.default_rng(16).standard_normal((300, 3)), np.ones((300, 2))),
+], ids=["tall", "many_rhs", "wide", "stacked"])
+def test_below_the_size_bound_the_solve_is_the_svd_bit_for_bit(system):
+    out = _solve(system)
+    x, rank, deficient = _svd_reference(system)
+    assert np.array_equal(out.solution, x)
+    assert (out.rank, out.rank_deficient) == (rank, deficient)
+
+
+def _with_kappa(kappa, rows=4000):
+    """rows x 3 matrix with singular values 1, 0.5 and 1/kappa."""
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(rng.standard_normal((rows, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return (u * [1.0, 0.5, 1.0 / kappa]) @ v.T
+
+
+def _duplicated_column():
+    a = np.random.default_rng(18).standard_normal((4000, 3))
+    a[:, 2] = a[:, 0]
+    return a
+
+
+@pytest.mark.parametrize("lhs, calls", [
+    (_duplicated_column(), 1),
+    (_with_kappa(1.01 * NORMAL_KAPPA_MAX), 1),
+    (_with_kappa(0.99 * NORMAL_KAPPA_MAX), 0),
+], ids=["duplicated_column", "kappa_over", "kappa_under"])
+def test_gate_sends_ill_conditioned_systems_to_the_svd_once(lhs, calls, svd_calls):
+    rhs = np.random.default_rng(19).standard_normal((lhs.shape[0], 2))
+    # the second block divided by sqrt(lam), so that the row stack is lhs
+    root = np.sqrt(_LAM)
+    for system in ((lhs, rhs), (lhs[:3000], rhs[:3000], lhs[3000:] / root, rhs[3000:] / root)):
+        svd_calls.clear()
+        out = _solve(system)
+        assert len(svd_calls) == calls
+        svd_calls.clear()
+        x, rank, deficient = _svd_reference(system)
+        assert (out.rank, out.rank_deficient) == (rank, deficient)
+        if calls:
+            assert np.array_equal(out.solution, x)
+
+
+@pytest.mark.parametrize("name", ["tall", "wide", "stacked"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lhs_on_the_gram_route_raises_as_the_svd_does(name, bad):
+    system = list(_large_systems()[name])
+    system[0] = system[0].copy()
+    system[0][1, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _svd_reference(system)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _solve(system)
+
+
+def test_s2000_fit_on_the_gram_route_matches_the_svd_fit(monkeypatch, svd_calls):
+    # the CLI's defaults on S = 2000 trig samples: every ALS solve is past
+    # the size bound
+    system = builtin_trig()
+    samples = sample_for_system(system, 2000, -1.5, 1.5, 0)
+    args = jacobian_tensor(system, samples), zeroth_matrix(system, samples), samples.X
+    config = CmtfConfig(rank=3, degree=3, df=16, max_iter=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, gram = decouple(*args, config)
+        assert len(svd_calls) == 0
+        monkeypatch.setattr(solvers, "_GRAM_MIN_SIZE", np.inf)
+        _, svd = decouple(*args, config)
+    assert len(svd_calls) == 4 * svd.iterations
+    assert gram.iterations == svd.iterations == 20
+    np.testing.assert_allclose(np.array(gram.history), np.array(svd.history), rtol=1e-9)
 
 
 def kkt_satisfied(a, b, x, rtol=KKT_RTOL):
