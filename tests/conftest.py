@@ -65,6 +65,21 @@ class FitCalls(list):
 
 
 @pytest.fixture
+def lstsq_calls(monkeypatch):
+    """One entry per call to np.linalg.lstsq, the SVD solve, from the start
+    of the test; clear it to count from a later point."""
+    calls = []
+    dense = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+@pytest.fixture
 def fit_calls(monkeypatch):
     """Record every call decouple makes to a FIT_CALLS name.
 

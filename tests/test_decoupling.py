@@ -545,19 +545,7 @@ def test_projection_warns_once_per_crowded_branch():
     assert _close(got.coeffs[1][1:], want.coeffs[1][1:] + want.coeffs[1][0])
 
 
-def _counting_lstsq(monkeypatch):
-    calls = []
-    dense = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dense(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return calls
-
-
-def test_function_projection_solves_well_conditioned_branches_without_lstsq(monkeypatch, fit_calls):
+def test_function_projection_solves_well_conditioned_branches_without_lstsq(lstsq_calls, fit_calls):
     # every projection of the first 30 sweeps of a trig fit (seed 1, df 16)
     system = builtin_trig()
     samples = sample_uniform(2, 100, -1.5, 1.5, 1)
@@ -573,51 +561,50 @@ def test_function_projection_solves_well_conditioned_branches_without_lstsq(monk
     R = rng.standard_normal((2000, 3))
     x = rng.uniform(-2, 2, (3, 2000)) * [[1.0], [0.1], [3.0]]
     inputs.append((G, R, 10, 4, x, 0.1))
-    calls = _counting_lstsq(monkeypatch)
+    lstsq_calls.clear()
     for args in inputs:
         out = bspline_projection(*args, Representation.FUNCTION, Constraint.NONE)
         assert all(c[0] == 0.0 for c in out.coeffs)
     assert len(inputs) == 31
-    assert len(calls) == 0
+    assert len(lstsq_calls) == 0
 
 
-def test_function_projection_falls_back_to_lstsq_per_ill_conditioned_branch(monkeypatch):
+def test_function_projection_falls_back_to_lstsq_per_ill_conditioned_branch(lstsq_calls):
     rng = np.random.default_rng(34)
     s = 100
     crowded = np.concatenate([np.zeros(94), [0.1, 0.2, 0.3, 0.5, 0.9, 1.0]])
     x = np.vstack([crowded, rng.uniform(-1, 1, s), crowded[::-1] - 3.0])
     G = rng.standard_normal((s, 3))
     R = rng.standard_normal((s, 3))
-    calls = _counting_lstsq(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bspline_projection(G, R, 6, 3, x, 0.1, Representation.FUNCTION, Constraint.NONE)
-    assert len(calls) == 2
+    assert len(lstsq_calls) == 2
     # a tiny lam leaves B^T B + lam Btil^T Btil positive definite, but
     # nearly singular along the constant: kappa(A) near 1e6
     x = rng.uniform(-1, 1, (2, s))
-    calls.clear()
+    lstsq_calls.clear()
     bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 1e-12, Representation.FUNCTION, Constraint.NONE)
-    assert len(calls) == 2
+    assert len(lstsq_calls) == 2
     # kappa(A) is 1.66e4 and 2.19e4 here, while the Cholesky pivots' ratio
     # reads 5.2e3 and 6.1e3: the eigenvalue gate sends both branches to lstsq
-    calls.clear()
+    lstsq_calls.clear()
     bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 4e-8, Representation.FUNCTION, Constraint.NONE)
-    assert len(calls) == 2
-    calls.clear()
+    assert len(lstsq_calls) == 2
+    lstsq_calls.clear()
     bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 1e-2, Representation.FUNCTION, Constraint.NONE)
-    assert len(calls) == 0
+    assert len(lstsq_calls) == 0
     # a first interior knot 1e-160 right of the boundary makes a derivative
     # weight of 3e160, whose square overflows the normal matrix to inf
     x[0] = np.concatenate([np.zeros(10), np.full(30, 1e-160), rng.uniform(0.5, 1, s - 40)])
-    calls.clear()
+    lstsq_calls.clear()
     # the gate expects that overflow, so numpy's RuntimeWarning about it must
     # not reach the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = bspline_projection(G[:, 1:], R[:, 1:], 6, 3, x, 0.1, Representation.FUNCTION,
                                  Constraint.NONE)
-    assert len(calls) == 1
+    assert len(lstsq_calls) == 1
     assert np.all(np.isfinite(out.G)) and np.all(np.isfinite(out.R))
 
 

@@ -119,25 +119,11 @@ def _svd_reference(system):
     return x, int(rank), int(rank) < system[0].shape[1]
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count the calls to np.linalg.lstsq from here on."""
-    calls = []
-    dense = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dense(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(_large_systems()))
-def test_gram_route_matches_the_svd_solve(name, svd_calls):
+def test_gram_route_matches_the_svd_solve(name, lstsq_calls):
     system = _large_systems()[name]
     out = _solve(system)
-    assert len(svd_calls) == 0
+    assert len(lstsq_calls) == 0
     x, rank, deficient = _svd_reference(system)
     assert out.solution.shape == x.shape
     assert np.abs(out.solution - x).max() <= 1e-10 * np.abs(x).max()
@@ -181,15 +167,15 @@ def _duplicated_column():
     (_with_kappa(1.01 * NORMAL_KAPPA_MAX), 1),
     (_with_kappa(0.99 * NORMAL_KAPPA_MAX), 0),
 ], ids=["duplicated_column", "kappa_over", "kappa_under"])
-def test_gate_sends_ill_conditioned_systems_to_the_svd_once(lhs, calls, svd_calls):
+def test_gate_sends_ill_conditioned_systems_to_the_svd_once(lhs, calls, lstsq_calls):
     rhs = np.random.default_rng(19).standard_normal((lhs.shape[0], 2))
     # the second block divided by sqrt(lam), so that the row stack is lhs
     root = np.sqrt(_LAM)
     for system in ((lhs, rhs), (lhs[:3000], rhs[:3000], lhs[3000:] / root, rhs[3000:] / root)):
-        svd_calls.clear()
+        lstsq_calls.clear()
         out = _solve(system)
-        assert len(svd_calls) == calls
-        svd_calls.clear()
+        assert len(lstsq_calls) == calls
+        lstsq_calls.clear()
         x, rank, deficient = _svd_reference(system)
         assert (out.rank, out.rank_deficient) == (rank, deficient)
         if calls:
@@ -208,7 +194,7 @@ def test_non_finite_lhs_on_the_gram_route_raises_as_the_svd_does(name, bad):
         _solve(system)
 
 
-def test_s2000_fit_on_the_gram_route_matches_the_svd_fit(monkeypatch, svd_calls):
+def test_s2000_fit_on_the_gram_route_matches_the_svd_fit(monkeypatch, lstsq_calls):
     # the CLI's defaults on S = 2000 trig samples: every ALS solve is past
     # the size bound
     system = builtin_trig()
@@ -218,10 +204,10 @@ def test_s2000_fit_on_the_gram_route_matches_the_svd_fit(monkeypatch, svd_calls)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, gram = decouple(*args, config)
-        assert len(svd_calls) == 0
+        assert len(lstsq_calls) == 0
         monkeypatch.setattr(solvers, "_GRAM_MIN_SIZE", np.inf)
         _, svd = decouple(*args, config)
-    assert len(svd_calls) == 4 * svd.iterations
+    assert len(lstsq_calls) == 4 * svd.iterations
     assert gram.iterations == svd.iterations == 20
     np.testing.assert_allclose(np.array(gram.history), np.array(svd.history), rtol=1e-9)
 
