@@ -23,9 +23,10 @@ points it is given in one pass; decoupling.predict is the one caller that
 splits its points into blocks.
 
 bspline_projection places every branch's knots and builds and solves its
-system: _normal_fit from span windows (function representation), or
-_dense_pair and _dense_solve (derivative representation; lstsq, or NNLS
-under the monotone Constraint).
+system: _normal_fit from span windows (function representation; gated
+by solvers.gram_inverse, as the ALS solves are), or _dense_pair and
+_dense_solve (derivative representation; lstsq, or NNLS under the
+monotone Constraint).
 
 Conventions that matter downstream:
   * right boundary is closed, the last basis function equals 1 at the domain
@@ -44,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .solvers import NORMAL_KAPPA_MAX, RANK_RCOND, nnls
+from .solvers import RANK_RCOND, gram_inverse, nnls
 
 __all__ = [
     "Representation",
@@ -433,12 +434,10 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     Gram of the degree-d windows; B = D M, with D the degree d-1 design
     matrix and M the map of _derivative_map, so B^T B = M^T (D^T D) M.
 
-    A row is solved from its normal equations when their eigenvalues put
-    kappa(A) at or below NORMAL_KAPPA_MAX, i.e. lambda_min > lambda_max /
-    NORMAL_KAPPA_MAX**2 (one batched eigvalsh; a NaN fails the test); one
-    batched Cholesky factors those rows, and neither B nor Btil is formed.
-    Each other row scatters its windows into B and Btil and takes the
-    min-norm lstsq solution of _dense_solve.
+    A row whose normal matrix passes solvers.gram_inverse's conditioning
+    gate is solved with the inverse it returns, and neither B nor Btil is
+    formed. Each other row scatters its windows into B and Btil and takes
+    the min-norm lstsq solution of _dense_solve.
 
     Returns (c, g_fit, r_fit): c[i] the df spline coefficients, g_fit[i]
     and r_fit[i] the fitted samples.
@@ -452,23 +451,15 @@ def _normal_fit(t: np.ndarray, degree: int, u: np.ndarray, g: np.ndarray, r: np.
     diff = _derivative_map(t, degree)
     diff_t = np.swapaxes(diff, 1, 2)
     # a knot gap so narrow that its derivative weight squares past the float
-    # range overflows its row's normal matrix; the gate below sends that row
-    # to lstsq, so the overflow is expected and not reported
-    with np.errstate(over="ignore", invalid="ignore"):
-        normal = diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
-        normal += lam * _window_gram(vals, first, df)
-        rhs = diff_t @ _window_rhs(lower, first_lower, g, df + 1)[..., None]
-        rhs += lam * _window_rhs(vals, first, r, df)[..., None]
-    # eigvalsh rejects a non-finite matrix; a zero matrix stands in and fails
-    # the gate
-    finite = np.isfinite(normal).all(axis=(1, 2))
-    eig = np.linalg.eigvalsh(np.where(finite[:, None, None], normal, 0.0))
-    solved = eig[:, 0] > eig[:, -1] / NORMAL_KAPPA_MAX**2
-    c = np.zeros((rows, df, 1))
-    if solved.any():
-        lo = np.linalg.cholesky(normal[solved])
-        c[solved] = np.linalg.solve(np.swapaxes(lo, 1, 2), np.linalg.solve(lo, rhs[solved]))
-    c = c[..., 0]
+    # range overflows its row's normal matrix, which then fails the gate; so
+    # the right-hand side, which the same weight scales, is formed only for
+    # the rows that pass
+    inverse, solved = gram_inverse(lambda: diff_t @ _window_gram(lower, first_lower, df + 1) @ diff
+                                   + lam * _window_gram(vals, first, df))
+    rhs = diff_t[solved] @ _window_rhs(lower, first_lower, g, df + 1)[solved, :, None]
+    rhs += lam * _window_rhs(vals, first, r, df)[solved, :, None]
+    c = np.zeros((rows, df))
+    c[solved] = (inverse[solved] @ rhs)[..., 0]
     for i in np.flatnonzero(~solved):
         b_mat = _scatter(np.zeros((u.shape[1], df + 1)), lower[:, i], spans[i], degree - 1) @ diff[i]
         btil = _scatter(np.zeros((u.shape[1], df)), vals[:, i], spans[i], degree)
@@ -601,8 +592,8 @@ def bspline_projection(
     * under FUNCTION, every branch is solved by _normal_fit with the free
       constant dropped (c0 = 0; the basis sums to one, so that column only
       repeated the spline block's constant): from its banded normal
-      equations, or by _dense_solve's lstsq when its kappa(A) is above
-      NORMAL_KAPPA_MAX;
+      equations when they pass solvers.gram_inverse's conditioning gate,
+      or else by _dense_solve's lstsq;
     * under DERIVATIVE, every branch is written into the stacked system
       [B; sqrt(lam) Btil] of _dense_pair, with the constant column (g's
       integration constant), and solved alone by _dense_solve: by lstsq

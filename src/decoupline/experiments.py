@@ -135,6 +135,11 @@ class ExperimentSpec:
             raise ValueError(f"runs must be >= 1, got {self.runs}.")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}.")
+        # decouple's sample bound at the grid's largest cell, whose every
+        # run would otherwise be recorded as failed
+        need = max(self.dfs) + max(self.degrees) + 2
+        if self.samples < need:
+            raise ValueError(f"need at least df + degree + 2 = {need} samples, got {self.samples}.")
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
 

@@ -5,9 +5,10 @@ for the W1 update's coupled objective, with a positive weight and one
 right-hand-side column per output; and nonnegative least squares. All
 operate on dense float matrices at desk scale. A least-squares system that
 is large by rows or by right-hand sides is solved from the r x r Gram
-matrix of its smaller side when that matrix is well conditioned; every
-other system, and every one that fails the conditioning gate, is solved
-by SVD (LAPACK gelsd), which truncates small singular values.
+matrix of its smaller side when it passes gram_inverse's conditioning
+gate, which the spline projection's normal equations share; every other
+system is solved by SVD (LAPACK gelsd), which truncates small singular
+values.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "NnlsResult",
     "lstsq",
     "stacked_lstsq",
+    "gram_inverse",
     "nnls",
     "RANK_RCOND",
     "NORMAL_KAPPA_MAX",
@@ -40,7 +42,7 @@ NORMAL_KAPPA_MAX = 1e4
 # the Gram route; a smaller one keeps the SVD's bits. Timed against the SVD
 # with one BLAS thread on a 2-core x86-64 host, 3 columns: at 1024 rows the
 # route costs 0.66-0.73 of it and a system that fails the gate (the Gram
-# and its eigh, then the SVD) 1.52-1.55; at 1024 right-hand sides 0.15-0.30
+# and its gate, then the SVD) 1.52-1.55; at 1024 right-hand sides 0.15-0.30
 # and 1.11-1.21. At 200-400 rows or 100 right-hand sides, the sizes of an
 # S = 100 fit, the route costs 0.7-1.14 of the SVD: no clear gain.
 _GRAM_MIN_SIZE = 1024
@@ -67,10 +69,10 @@ def lstsq(lhs: np.ndarray, rhs: np.ndarray) -> LsqResult:
     """Minimum-norm solution of min ||lhs @ x - rhs||_F.
 
     A system with at least _GRAM_MIN_SIZE rows or right-hand-side columns
-    is solved from the Gram matrix of the smaller side of lhs when that
-    Gram puts kappa(lhs) at or below NORMAL_KAPPA_MAX: x = (lhs^T lhs)^-1
-    lhs^T rhs for a tall lhs, and the minimum-norm x = lhs^T (lhs lhs^T)^-1
-    rhs for a wide one. Such a system has full rank min(lhs.shape).
+    is solved from the Gram matrix of the smaller side of lhs when it
+    passes gram_inverse's gate: x = (lhs^T lhs)^-1 lhs^T rhs for a tall
+    lhs, and the minimum-norm x = lhs^T (lhs lhs^T)^-1 rhs for a wide one.
+    Such a system has full rank min(lhs.shape).
 
     Every other system is solved by SVD (LAPACK gelsd), which truncates
     singular values below RANK_RCOND relative to the largest and so picks
@@ -87,13 +89,10 @@ def lstsq(lhs: np.ndarray, rhs: np.ndarray) -> LsqResult:
     rows, cols = lhs.shape
     if _gram_sized(rows, cols, rhs):
         tall = rows >= cols
-        # a Gram that overflows fails the gate and goes to the SVD, so the
-        # overflow is expected and not reported
-        with np.errstate(over="ignore", invalid="ignore"):
-            inverse = _gram_inverse(lhs.T @ lhs if tall else lhs @ lhs.T)
-            if inverse is not None:
-                x = inverse @ (lhs.T @ rhs) if tall else (lhs.T @ inverse) @ rhs
-                return LsqResult(solution=x, rank=min(rows, cols), rank_deficient=not tall)
+        inverse, ok = gram_inverse(lambda: (lhs.T @ lhs if tall else lhs @ lhs.T)[None])
+        if ok[0]:
+            x = inverse[0] @ (lhs.T @ rhs) if tall else (lhs.T @ inverse[0]) @ rhs
+            return LsqResult(solution=x, rank=min(rows, cols), rank_deficient=not tall)
     return _svd_lstsq(lhs, rhs)
 
 
@@ -104,8 +103,8 @@ def stacked_lstsq(lhs1, rhs1, lhs2, rhs2, lam: float) -> LsqResult:
     lstsq on the row stack [lhs1; sqrt(lam) lhs2] ~ [rhs1; sqrt(lam) rhs2].
     A tall stack of at least _GRAM_MIN_SIZE rows or right-hand-side columns
     is solved from lhs1^T lhs1 + lam lhs2^T lhs2 and lhs1^T rhs1 + lam
-    lhs2^T rhs2 without forming the stack, under lstsq's conditioning gate;
-    every other system by SVD on the stack.
+    lhs2^T rhs2 without forming the stack, when that Gram passes
+    gram_inverse's gate; every other system by SVD on the stack.
     """
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}.")
@@ -113,6 +112,8 @@ def stacked_lstsq(lhs1, rhs1, lhs2, rhs2, lam: float) -> LsqResult:
     lhs2 = np.asarray(lhs2, dtype=float)
     rhs1 = np.asarray(rhs1, dtype=float)
     rhs2 = np.asarray(rhs2, dtype=float)
+    if lhs1.ndim != 2 or lhs2.ndim != 2:
+        raise ValueError("lhs must be a matrix.")
     if lhs1.shape[1] != lhs2.shape[1]:
         raise ValueError(
             f"column mismatch: {lhs1.shape[1]} vs {lhs2.shape[1]}."
@@ -124,11 +125,10 @@ def stacked_lstsq(lhs1, rhs1, lhs2, rhs2, lam: float) -> LsqResult:
             )
     rows, cols = lhs1.shape[0] + lhs2.shape[0], lhs1.shape[1]
     if rows >= cols and _gram_sized(rows, cols, rhs1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            inverse = _gram_inverse(lhs1.T @ lhs1 + lam * (lhs2.T @ lhs2))
-            if inverse is not None:
-                x = inverse @ (lhs1.T @ rhs1 + lam * (lhs2.T @ rhs2))
-                return LsqResult(solution=x, rank=cols, rank_deficient=False)
+        inverse, ok = gram_inverse(lambda: (lhs1.T @ lhs1 + lam * (lhs2.T @ lhs2))[None])
+        if ok[0]:
+            x = inverse[0] @ (lhs1.T @ rhs1 + lam * (lhs2.T @ rhs2))
+            return LsqResult(solution=x, rank=cols, rank_deficient=False)
     root = np.sqrt(lam)
     return _svd_lstsq(
         np.concatenate([lhs1, root * lhs2]), np.concatenate([rhs1, root * rhs2])
@@ -141,18 +141,24 @@ def _gram_sized(rows: int, cols: int, rhs: np.ndarray) -> bool:
     return min(rows, cols) > 0 and max(rows, width) >= _GRAM_MIN_SIZE
 
 
-def _gram_inverse(gram: np.ndarray):
-    """Inverse of the Gram matrix of a system's lhs A, from one eigh, if its
-    eigenvalues put kappa(A) at or below NORMAL_KAPPA_MAX, that is
-    lambda_min > lambda_max / NORMAL_KAPPA_MAX**2; None otherwise."""
-    # eigh rejects a non-finite matrix; the SVD then meets the non-finite
-    # lhs as it always has
-    if not np.isfinite(gram).all():
-        return None
-    eig, vec = np.linalg.eigh(gram)
-    if not eig[0] > eig[-1] / NORMAL_KAPPA_MAX**2:
-        return None
-    return (vec / eig) @ vec.T
+def gram_inverse(build):
+    """(inverse, ok) of the (k, n, n) stack of Gram matrices A^T A that build() returns.
+
+    Gram i passes, ok[i], when it is finite and its eigenvalues put kappa(A)
+    at or below NORMAL_KAPPA_MAX: lambda_min > lambda_max / NORMAL_KAPPA_MAX**2.
+    inverse[i] is its inverse, or zeros where it fails. build() runs with
+    overflow warnings off: a Gram whose products overflow just fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = build()
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    # the eigenvalue solve rejects a non-finite matrix; a zero one stands in
+    # and fails the gate
+    eig = np.linalg.eigvalsh(np.where(finite[:, None, None], gram, 0.0))
+    ok = eig[:, 0] > eig[:, -1] / NORMAL_KAPPA_MAX**2
+    inverse = np.zeros_like(gram)
+    inverse[ok] = np.linalg.inv(gram[ok])
+    return inverse, ok
 
 
 def _svd_lstsq(lhs: np.ndarray, rhs: np.ndarray) -> LsqResult:

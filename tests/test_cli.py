@@ -185,6 +185,16 @@ def test_experiment_without_samples_exits_one(tmp_path, capsys, samples):
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_experiment_with_too_few_samples_for_its_grid_exits_one(tmp_path, capsys):
+    code = main([
+        "experiment", "trig", "--runs", "1", "--degrees", "3", "--dfs", "12",
+        "--samples", "10", "--out-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need at least df + degree + 2 = 17 samples, got 10.\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_predict_round_trip(fixture_files, capsys):
     tmp_path, paths = fixture_files
     model_path = tmp_path / "model.json"

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decoupline import experiments
 from decoupline.experiments import (
     ExperimentSpec,
     RunRecord,
@@ -151,6 +152,18 @@ def test_spec_validation():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             ExperimentSpec(kind="trig", samples=samples)
+
+
+@pytest.mark.parametrize("kind, degrees, dfs, need", [
+    ("trig", (3,), (12,), 17),
+    ("trig", (1, 3), (8, 28), 33),
+    ("mono", None, (20,), 26),
+])
+def test_spec_rejects_too_few_samples_for_its_largest_cell(kind, degrees, dfs, need):
+    # decouple's bound, df + degree + 2, for the grid's largest df and degree
+    with pytest.raises(ValueError, match=f"need at least df \\+ degree \\+ 2 = {need} samples, got {need - 1}"):
+        ExperimentSpec(kind=kind, degrees=degrees, dfs=dfs, samples=need - 1)
+    assert ExperimentSpec(kind=kind, degrees=degrees, dfs=dfs, samples=need).samples == need
 
 
 def test_spec_factories():
@@ -340,9 +353,13 @@ def test_trig_runner_is_deterministic(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
-def test_failed_run_is_recorded_not_fatal(tmp_path):
-    # 20 samples cannot support df=28: the fit raises, the sweep records nan
-    spec = ExperimentSpec(kind="trig", degrees=(3,), dfs=(28,), runs=1, samples=20, out_dir=tmp_path)
+def test_failed_run_is_recorded_not_fatal(tmp_path, monkeypatch):
+    # a fit that raises: the sweep records nan and goes on
+    def failing(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(experiments, "decouple", failing)
+    spec = ExperimentSpec(kind="trig", degrees=(3,), dfs=(8,), runs=1, samples=20, out_dir=tmp_path)
     with pytest.warns(UserWarning, match="failed"):
         records = run_experiment(spec)
     assert len(records) == 1

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from decoupline import solvers
 from decoupline.decoupling import CmtfConfig, decouple
-from decoupline.solvers import KKT_RTOL, NORMAL_KAPPA_MAX, RANK_RCOND, lstsq, nnls, stacked_lstsq
+from decoupline.solvers import (
+    KKT_RTOL, NORMAL_KAPPA_MAX, RANK_RCOND, gram_inverse, lstsq, nnls, stacked_lstsq,
+)
 from decoupline.sysgen import builtin_trig, jacobian_tensor, sample_for_system, zeroth_matrix
 
 
@@ -86,6 +88,12 @@ def test_stacked_lstsq_negative_lam():
 def test_stacked_lstsq_column_mismatch():
     with pytest.raises(ValueError, match="column mismatch"):
         stacked_lstsq(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 4)), np.zeros(3), 1.0)
+
+
+def test_stacked_lstsq_rejects_a_vector_lhs_in_either_block():
+    for lhs1, lhs2 in ((np.zeros(3), np.zeros((3, 2))), (np.zeros((3, 2)), np.zeros(3))):
+        with pytest.raises(ValueError, match="lhs must be a matrix"):
+            stacked_lstsq(lhs1, np.zeros(3), lhs2, np.zeros(3), 1.0)
 
 
 # systems past the Gram route's size bound (1024 rows or right-hand sides),
@@ -210,6 +218,54 @@ def test_s2000_fit_on_the_gram_route_matches_the_svd_fit(monkeypatch, lstsq_call
     assert len(lstsq_calls) == 4 * svd.iterations
     assert gram.iterations == svd.iterations == 20
     np.testing.assert_allclose(np.array(gram.history), np.array(svd.history), rtol=1e-9)
+
+
+def test_gram_inverse_gates_each_gram_of_a_stack():
+    # one system lhs per row of the stack, with the verdict the gate must give
+    good = _with_kappa(0.99 * NORMAL_KAPPA_MAX, rows=50)
+    nan, inf = good.copy(), good.copy()
+    nan[3, 1] = np.nan
+    inf[3, 1] = np.inf
+    cases = [
+        (good, True),
+        (_with_kappa(1.01 * NORMAL_KAPPA_MAX, rows=50), False),
+        (_duplicated_column()[:50], False),
+        (np.zeros((50, 3)), False),
+        (nan, False),
+        (inf, False),
+        # finite, but its Gram overflows
+        (1e160 * good, False),
+        (np.random.default_rng(20).standard_normal((50, 3)), True),
+    ]
+    lhs = np.stack([a for a, _ in cases])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        inverse, ok = gram_inverse(lambda: np.swapaxes(lhs, 1, 2) @ lhs)
+    assert ok.tolist() == [want for _, want in cases]
+    assert not inverse[~ok].any()
+    rhs = np.random.default_rng(21).standard_normal((50, 2))
+    for a, inv in zip(lhs[ok], inverse[ok]):
+        x = np.linalg.lstsq(a, rhs, rcond=None)[0]
+        # the normal equations square kappa(A): at the bound they keep about
+        # eight digits, on a well-conditioned system ten or more
+        tol = max(1e-10, 1e-15 * np.linalg.cond(a) ** 2)
+        assert np.abs(inv @ (a.T @ rhs) - x).max() <= tol * np.abs(x).max()
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["lstsq", "stacked_lstsq"])
+def test_an_overflowing_gram_goes_to_the_svd_without_a_warning(stacked, lstsq_calls):
+    lhs = 1e160 * np.random.default_rng(22).standard_normal((4000, 3))
+    rhs = np.random.default_rng(23).standard_normal((4000, 2))
+    root = np.sqrt(_LAM)
+    system = (lhs[:3000], rhs[:3000], lhs[3000:] / root, rhs[3000:] / root) if stacked else (lhs, rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _solve(system)
+    assert len(lstsq_calls) == 1
+    lstsq_calls.clear()
+    x, rank, deficient = _svd_reference(system)
+    assert np.array_equal(out.solution, x)
+    assert (out.rank, out.rank_deficient) == (rank, deficient)
 
 
 def kkt_satisfied(a, b, x, rtol=KKT_RTOL):
